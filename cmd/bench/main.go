@@ -14,8 +14,8 @@
 //	bench -reconfig         # online reconfiguration: live split under load
 //	bench -flow             # flow control: static vs adaptive λ,
 //	                        # slow-replica isolation (EC2 WAN)
-//	bench -exec             # execution: parallel apply scaling,
-//	                        # read-index vs multicast reads
+//	bench -exec             # reads: read-index local reads vs
+//	                        # multicast reads
 //	bench -chaos            # chaos campaigns: coordinator kills, rolling
 //	                        # kills during a live split, WAN partition
 //	                        # heal, disk-full acceptor
@@ -57,7 +57,7 @@ func run() error {
 	ckptBench := flag.Bool("ckpt", false, "run the checkpoint-pipeline benchmark (sync-seed vs COW-async)")
 	reconfigBench := flag.Bool("reconfig", false, "run the online-reconfiguration benchmark (live partition split under load)")
 	flowBench := flag.Bool("flow", false, "run the flow-control benchmark (static vs adaptive rate leveling, slow-replica isolation)")
-	execBench := flag.Bool("exec", false, "run the execution benchmark (conflict-aware parallel apply scaling, read-index vs multicast reads)")
+	execBench := flag.Bool("exec", false, "run the read benchmark (read-index local reads vs multicast reads, colocated and geo)")
 	chaosBench := flag.Bool("chaos", false, "run the chaos campaigns (failure detection, failover and recovery under injected faults)")
 	obsBench := flag.Bool("obs", false, "run the tracing-overhead benchmark (per-value tracing off vs 1% vs 100% sampling)")
 	memBench := flag.Bool("mem", false, "run the memory benchmark (allocs/msg and GC pauses: pooled vs pre-pool read path, fig3-style and WAN pipelines)")

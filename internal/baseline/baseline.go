@@ -16,8 +16,9 @@
 //     aggressive time-based batching maximizes disk utilization at the
 //     cost of added latency (Figure 5's latency gap).
 //
-// Absolute service times are calibrated constants (documented in
-// EXPERIMENTS.md); the figures' shapes come from the structure above.
+// Absolute service times are calibrated constants (each model's config
+// defaults, set where the model is constructed); the figures' shapes come
+// from the structure above.
 package baseline
 
 import (

@@ -18,7 +18,7 @@ type EventualConfig struct {
 	Partitions        int
 	ReplicationFactor int
 	// WriteServiceTime and ReadServiceTime model per-operation server
-	// cost (defaults calibrated in EXPERIMENTS.md).
+	// cost (defaults set in StartEventual).
 	WriteServiceTime time.Duration
 	ReadServiceTime  time.Duration
 	// ScanPerRow models Cassandra's expensive range scans: added server

@@ -31,7 +31,7 @@ const (
 	DeliveryPerMessage DeliveryMode = "per-message"
 	// DeliveryBatched uses the default batch bounds: the merge hands
 	// batches of consecutive deliveries to the replica, which executes
-	// them under one lock through the state machine's batch entry point.
+	// them inline in delivery order, one Execute call per command.
 	DeliveryBatched DeliveryMode = "batched"
 )
 

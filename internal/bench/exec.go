@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,25 +10,9 @@ import (
 	"amcast/internal/core"
 	"amcast/internal/metrics"
 	"amcast/internal/netem"
-	"amcast/internal/smr"
 	"amcast/internal/store"
-	"amcast/internal/transport"
 	"amcast/internal/ycsb"
 )
-
-// ExecApplyRow is one (workload, worker count) point of the parallel-
-// apply scaling curve. Workers 0 is the sequential ExecuteBatch baseline
-// every speedup is relative to.
-type ExecApplyRow struct {
-	Workload string  `json:"workload"`
-	Workers  int     `json:"workers"`
-	OpsPerS  float64 `json:"ops_per_s"`
-	Speedup  float64 `json:"speedup_vs_sequential"`
-	// MeanRunSize is the average conflict-run size (ops per run); low-
-	// conflict read-heavy workloads should stay near 1.
-	MeanRunSize float64 `json:"mean_run_size"`
-	Barriers    uint64  `json:"barrier_ops"`
-}
 
 // ExecReadRow is one read-mode throughput measurement against a live
 // partition.
@@ -42,15 +25,9 @@ type ExecReadRow struct {
 
 // ExecResult aggregates the execution benchmark (cmd/bench -exec).
 type ExecResult struct {
-	// GoMaxProcs records the cores the run actually had: on a single-core
-	// runner the apply curve cannot show wall-clock speedup regardless of
-	// worker count, so readers must interpret Speedup against this.
-	GoMaxProcs int            `json:"gomaxprocs"`
-	DurationS  float64        `json:"duration_s"`
-	Records    int            `json:"records"`
-	BatchSize  int            `json:"batch_size"`
-	Apply      []ExecApplyRow `json:"apply_scaling"`
-	Reads      []ExecReadRow  `json:"reads"`
+	DurationS float64       `json:"duration_s"`
+	Records   int           `json:"records"`
+	Reads     []ExecReadRow `json:"reads"`
 	// ReadIndexVsMulticast is read-index local-read ops/s over multicast-
 	// read ops/s in the geo deployment — the partition's replicas spread
 	// across EC2 regions with the client beside one of them. That is the
@@ -72,14 +49,8 @@ func (r ExecResult) WriteJSON(path string) error {
 }
 
 const (
-	// execBatchSize is the delivery-batch size fed to the applier — large
-	// enough that conflict-free runs saturate the worker pool.
-	execBatchSize = 512
-	// execOpPool is how many encoded ops each workload pre-generates, so
-	// the measured loop pays for apply, not key generation.
-	execOpPool = 64 * 1024
-	// execValueBytes keeps update payloads small so the benchmark
-	// measures scheduling, not memcpy.
+	// execValueBytes keeps preloaded values small so the benchmark
+	// measures the read path, not memcpy.
 	execValueBytes = 100
 	// execReadWorkers is the closed-loop client count of the read phase —
 	// high enough to expose the architectural split: multicast reads
@@ -88,48 +59,16 @@ const (
 	execReadWorkers = 16
 )
 
-var execWorkerCounts = []int{1, 2, 4, 8}
-
-// ExecBench measures the tentpole from both ends: the conflict-aware
-// parallel applier's throughput scaling on read-heavy YCSB mixes
-// (workload C = zero write conflicts, workload B = 5% updates), and the
-// read-index local-read path against the multicast read path on a live
-// partition.
+// ExecBench measures the read-index local-read path against the multicast
+// read path on a live partition, co-located and on the emulated EC2
+// geography.
 func ExecBench(o Options) (ExecResult, error) {
 	o = o.withDefaults()
-	o.header("Exec", "conflict-aware parallel apply + local reads")
+	o.header("Exec", "read-index local reads vs multicast reads")
 	res := ExecResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		DurationS:  o.Duration.Seconds(),
-		Records:    o.Records,
-		BatchSize:  execBatchSize,
+		DurationS: o.Duration.Seconds(),
+		Records:   o.Records,
 	}
-	o.printf("gomaxprocs=%d (speedup is core-bound)\n", res.GoMaxProcs)
-	o.printf("%-9s %8s %10s %8s %8s %9s\n", "workload", "workers", "ops/s", "speedup", "runsize", "barriers")
-
-	for _, wl := range []ycsb.Workload{ycsb.WorkloadC, ycsb.WorkloadB} {
-		ops, err := execOps(o, wl)
-		if err != nil {
-			return res, err
-		}
-		var sequential float64
-		for _, workers := range append([]int{0}, execWorkerCounts...) {
-			row, err := execApplyRun(o, wl, ops, workers)
-			if err != nil {
-				return res, err
-			}
-			if workers == 0 {
-				sequential = row.OpsPerS
-			}
-			if sequential > 0 {
-				row.Speedup = row.OpsPerS / sequential
-			}
-			res.Apply = append(res.Apply, row)
-			o.printf("%-9s %8d %10.0f %8.2f %8.2f %9d\n",
-				row.Workload, row.Workers, row.OpsPerS, row.Speedup, row.MeanRunSize, row.Barriers)
-		}
-	}
-
 	if err := execReadBench(o, &res); err != nil {
 		return res, err
 	}
@@ -139,80 +78,6 @@ func ExecBench(o Options) (ExecResult, error) {
 	o.printf("read-index vs multicast: %.2fx geo, %.2fx colocated; read-wait p99 %.3f ms\n",
 		res.ReadIndexVsMulticast, res.ReadIndexVsMulticastColocated, res.ReadWaitP99Ms)
 	return res, nil
-}
-
-// execOps pre-encodes a pool of store ops drawn from a YCSB workload.
-func execOps(o Options, wl ycsb.Workload) ([][]byte, error) {
-	f, err := ycsb.NewFactory(ycsb.Config{
-		Workload: wl, Records: o.Records, ValueSize: execValueBytes, Seed: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	g := f.Generator(7)
-	ops := make([][]byte, execOpPool)
-	for i := range ops {
-		op := g.Next()
-		var sop store.Op
-		switch op.Type {
-		case ycsb.OpUpdate, ycsb.OpInsert, ycsb.OpReadModifyWrite:
-			sop = store.Op{Kind: store.OpUpdate, Key: op.Key, Value: op.Value}
-		default:
-			sop = store.Op{Kind: store.OpRead, Key: op.Key}
-		}
-		ops[i] = sop.Encode()
-	}
-	return ops, nil
-}
-
-// execApplyRun drives pre-encoded batches through one applier (or the
-// sequential baseline, workers 0) for the measurement window.
-func execApplyRun(o Options, wl ycsb.Workload, ops [][]byte, workers int) (ExecApplyRow, error) {
-	row := ExecApplyRow{Workload: wl.String(), Workers: workers}
-	sm := store.NewSM()
-	value := make([]byte, execValueBytes)
-	for i := 0; i < o.Records; i++ {
-		sm.Execute(1, store.Op{Kind: store.OpInsert, Key: ycsb.Key(i), Value: value}.Encode())
-	}
-	var applier *smr.Applier
-	if workers > 0 {
-		applier = smr.NewApplier(sm, workers)
-		defer applier.Close()
-	}
-
-	groups := make([]transport.RingID, execBatchSize)
-	for i := range groups {
-		groups[i] = 1
-	}
-	out := make([][]byte, execBatchSize)
-	var total uint64
-	cursor := 0
-	start := time.Now()
-	for time.Since(start) < o.Duration {
-		if cursor+execBatchSize > len(ops) {
-			cursor = 0
-		}
-		batch := ops[cursor : cursor+execBatchSize]
-		cursor += execBatchSize
-		if applier != nil {
-			applier.Apply(groups, batch, out)
-		} else {
-			copy(out, sm.ExecuteBatch(groups, batch))
-		}
-		total += execBatchSize
-	}
-	elapsed := time.Since(start).Seconds()
-	if total == 0 {
-		return row, fmt.Errorf("bench: exec %s/%d executed nothing", wl, workers)
-	}
-	row.OpsPerS = float64(total) / elapsed
-	if applier != nil {
-		row.MeanRunSize = applier.RunSizes().Mean()
-		row.Barriers = applier.Barriers()
-	} else {
-		row.MeanRunSize = float64(execBatchSize)
-	}
-	return row, nil
 }
 
 // execReadBench measures closed-loop read throughput via the multicast

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"sort"
 	"sync"
@@ -38,8 +41,9 @@ type MemRow struct {
 // topology, and a snapshot of the telemetry registry that watches it all.
 type MemResult struct {
 	DurationS float64 `json:"duration_s"`
-	// TCP loopback, raw ring-kind frames: pooled read path vs the
-	// pre-pool per-frame-allocation baseline (SetPooling(false)).
+	// TCP loopback, raw ring-kind frames: the transport's pooled read
+	// path vs the pre-pool per-frame-allocation baseline
+	// (memUnpooledReceiver).
 	TCPPooled   MemRow `json:"tcp_pooled"`
 	TCPUnpooled MemRow `json:"tcp_unpooled"`
 	// AllocReductionPct is the headline: percent of per-message heap
@@ -139,36 +143,29 @@ func (o Options) printRow(r MemRow) {
 // memTCPRun floods ring-kind frames across a real TCP loopback
 // connection and profiles the receiver's read path. The sender coalesces
 // bursts with SendBatch (its per-burst encode cost is identical in both
-// modes), the receiver drains Recv honoring the pooled-ownership
-// contract.
+// modes). The pooled receiver is a transport.TCPNode drained through Recv
+// honoring the pooled-ownership contract; the unpooled one is
+// memUnpooledReceiver.
 func memTCPRun(o Options, pooled bool) (MemRow, error) {
 	name := "tcp-pooled"
 	if !pooled {
 		name = "tcp-unpooled"
 	}
-	recv, err := transport.ListenTCP(2, "127.0.0.1:0")
+	startRecv := memPooledReceiver
+	if !pooled {
+		startRecv = memUnpooledReceiver
+	}
+	var delivered atomic.Uint64
+	recvAddr, closeRecv, err := startRecv(&delivered)
 	if err != nil {
 		return MemRow{}, err
 	}
-	recv.SetPooling(pooled)
 	send, err := transport.ListenTCP(1, "127.0.0.1:0")
 	if err != nil {
-		_ = recv.Close()
+		closeRecv()
 		return MemRow{}, err
 	}
-	send.SetPeer(2, recv.Addr())
-
-	var delivered atomic.Uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for m := range recv.Recv() {
-			// The consumer side of the ownership contract: drop the
-			// block/payload refs once the message is consumed.
-			m.ReleaseRefs()
-			delivered.Add(1)
-		}
-	}()
+	send.SetPeer(2, recvAddr)
 
 	// Sender: bursts of Phase2-kind messages with fixed payloads, the
 	// shape a follower's read loop sees at steady state. The burst slice
@@ -236,14 +233,83 @@ func memTCPRun(o Options, pooled bool) (MemRow, error) {
 	close(stop)
 	wg.Wait()
 	_ = send.Close()
-	_ = recv.Close()
-	<-done
+	closeRecv()
 
 	if n == 0 {
 		return MemRow{}, fmt.Errorf("bench: mem %s delivered nothing", name)
 	}
 	return memRowFrom(name, n, elapsed, &before, &after), nil
 }
+
+// memPooledReceiver starts a TCPNode receiver and a consumer that drains
+// its Recv, counting each message into delivered. The returned close
+// function stops both.
+func memPooledReceiver(delivered *atomic.Uint64) (string, func(), error) {
+	recv, err := transport.ListenTCP(2, "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for m := range recv.Recv() {
+			// The consumer side of the ownership contract: drop the
+			// block/payload refs once the message is consumed.
+			m.ReleaseRefs()
+			delivered.Add(1)
+		}
+	}()
+	return recv.Addr(), func() { _ = recv.Close(); <-done }, nil
+}
+
+// memUnpooledReceiver is the pre-pool read path, the baseline of the TCP
+// A/B: on its own listener, one length-prefix read, one fresh heap buffer
+// and one decode per frame. It counts each frame where it decodes it, so
+// unlike the pooled row it pays no mailbox push. The returned close
+// function stops the listener and waits for the reader, which returns
+// once the sender closes its connection.
+func memUnpooledReceiver(delivered *atomic.Uint64) (string, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var hdr [4]byte
+		// The dialer opens with its process id; then length-prefixed frames.
+		if _, err := io.ReadFull(c, hdr[:]); err != nil {
+			return
+		}
+		for {
+			if _, err := io.ReadFull(c, hdr[:]); err != nil {
+				return
+			}
+			size := binary.LittleEndian.Uint32(hdr[:])
+			if size == 0 || size > memMaxFrame {
+				return
+			}
+			frame := make([]byte, size)
+			if _, err := io.ReadFull(c, frame); err != nil {
+				return
+			}
+			if _, err := transport.DecodeMessage(frame); err != nil {
+				return
+			}
+			delivered.Add(1)
+		}
+	}()
+	return ln.Addr().String(), func() { _ = ln.Close(); <-done }, nil
+}
+
+// memMaxFrame bounds one frame on the unpooled reader, as the transport
+// bounds its own.
+const memMaxFrame = 64 << 20
 
 // memPipelineRun profiles one full-pipeline workload run: MemStats are
 // snapshotted around the run, so setup and teardown allocations are

@@ -254,14 +254,6 @@ type StoreOptions struct {
 	// (e.g. a recovery.FileStore so checkpoint durability costs are
 	// real); nil = in-memory.
 	NewCheckpointStore func(self transport.ProcessID) (recovery.Store, error)
-	// ExecWorkers sizes every replica's conflict-aware parallel apply
-	// pool (see smr.ReplicaConfig.ExecWorkers): 0/1 sequential, >= 2
-	// that many workers, negative GOMAXPROCS.
-	ExecWorkers int
-	// ExecWorkersOf, when set, overrides ExecWorkers per replica — a
-	// test hook for mixing sequential and parallel appliers in one
-	// cluster to check they stay byte-identical.
-	ExecWorkersOf func(partition, replica int) int
 	// Detector, when set, runs a heartbeat failure detector on every
 	// store server: crashes are noticed and marked down by suspicion
 	// quorum (coord.Detector) with no oracle MarkDown calls.
@@ -438,11 +430,7 @@ func (c *StoreCluster) startServer(p, r int, peerRecovery bool) error {
 		Batch:           c.opts.Batch,
 		M:               c.opts.M,
 		GlobalLambda:    c.opts.GlobalLambda,
-		ExecWorkers:     c.opts.ExecWorkers,
 		Tracer:          c.D.recorderFor(id, fmt.Sprintf("p%dr%d", p, r)),
-	}
-	if c.opts.ExecWorkersOf != nil {
-		cfg.ExecWorkers = c.opts.ExecWorkersOf(p, r)
 	}
 	if peerRecovery {
 		cfg.RecoveryTimeout = c.opts.RecoveryTimeout
@@ -694,9 +682,6 @@ type DLogOptions struct {
 	NewDataDisk func(self transport.ProcessID) storage.Log
 	// CacheLimit bounds each server's per-log entry cache in bytes.
 	CacheLimit int
-	// ExecWorkers sizes each server's conflict-aware parallel apply
-	// pool (see smr.ReplicaConfig.ExecWorkers).
-	ExecWorkers int
 }
 
 // DLogCluster is a running dLog deployment.
@@ -780,15 +765,14 @@ func (d *Deployment) StartDLog(opts DLogOptions) (*DLogCluster, error) {
 			return nil, err
 		}
 		rep, err := smr.NewReplica(smr.ReplicaConfig{
-			Self:        id,
-			Partition:   transport.RingID(1), // all servers share one partition
-			Groups:      groups,
-			Node:        node,
-			Transport:   tr,
-			Service:     router.Service(),
-			SM:          sm,
-			ExecWorkers: opts.ExecWorkers,
-			Tracer:      rec,
+			Self:      id,
+			Partition: transport.RingID(1), // all servers share one partition
+			Groups:    groups,
+			Node:      node,
+			Transport: tr,
+			Service:   router.Service(),
+			SM:        sm,
+			Tracer:    rec,
 		}, recovery.Checkpoint{})
 		if err != nil {
 			node.Stop()

@@ -233,7 +233,6 @@ func NewSM(cfg SMConfig) *SM {
 
 var (
 	_ smr.StateMachine     = (*SM)(nil)
-	_ smr.BatchExecutor    = (*SM)(nil)
 	_ smr.SnapshotCapturer = (*SM)(nil)
 )
 
@@ -276,25 +275,6 @@ func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.apply(op).Encode()
-}
-
-// ExecuteBatch applies a run of encoded operations under one lock
-// acquisition (batch-at-a-time delivery's entry point).
-//
-//lint:deterministic
-func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
-	out := make([][]byte, len(ops))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, raw := range ops {
-		op, err := DecodeOp(raw)
-		if err != nil {
-			out[i] = Result{Status: StatusBadRequest}.Encode()
-			continue
-		}
-		out[i] = s.apply(op).Encode()
-	}
-	return out
 }
 
 func (s *SM) apply(op Op) Result {

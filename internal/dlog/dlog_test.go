@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"amcast/internal/storage"
-	"amcast/internal/transport"
 )
 
 func TestOpRoundTrip(t *testing.T) {
@@ -176,39 +175,6 @@ func TestSMGarbageOp(t *testing.T) {
 	res, err := DecodeResult(sm.Execute(1, []byte{0xff, 0x01}))
 	if err != nil || res.Status != StatusBadRequest {
 		t.Errorf("garbage op = %+v, %v", res, err)
-	}
-}
-
-// TestSMExecuteBatchMatchesExecute checks the dLog batch apply entry
-// point is equivalent to per-op Execute.
-func TestSMExecuteBatchMatchesExecute(t *testing.T) {
-	ops := [][]byte{
-		Op{Kind: OpAppend, Log: 1, Value: []byte("e0")}.Encode(),
-		Op{Kind: OpAppend, Log: 1, Value: []byte("e1")}.Encode(),
-		Op{Kind: OpRead, Log: 1, Pos: 0}.Encode(),
-		Op{Kind: OpTrim, Log: 1, Pos: 1}.Encode(),
-		Op{Kind: OpRead, Log: 1, Pos: 0}.Encode(),               // trimmed
-		Op{Kind: OpAppend, Log: 9, Value: []byte("x")}.Encode(), // unhosted
-		{0xFF}, // undecodable
-	}
-	groups := make([]transport.RingID, len(ops))
-	for i := range groups {
-		groups[i] = 1
-	}
-	single := NewSM(SMConfig{Hosted: []LogID{1}})
-	batched := NewSM(SMConfig{Hosted: []LogID{1}})
-	var want [][]byte
-	for i, op := range ops {
-		want = append(want, single.Execute(groups[i], op))
-	}
-	got := batched.ExecuteBatch(groups, ops)
-	if len(got) != len(want) {
-		t.Fatalf("results %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("result %d: batch %x, single %x", i, got[i], want[i])
-		}
 	}
 }
 

@@ -195,9 +195,8 @@ func TestAnnotationRoots(t *testing.T) {
 	}
 	for _, need := range []string{
 		"core.Node).merge",
-		"store.SM).ExecuteBatch",
-		"dlog.SM).ExecuteBatch",
-		"smr.Applier).Apply",
+		"store.SM).Execute",
+		"dlog.SM).Execute",
 		"smr.Replica).deliverBatch",
 	} {
 		found := false

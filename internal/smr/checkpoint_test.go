@@ -244,6 +244,8 @@ func TestDecodeDedupRejectsCorrupt(t *testing.T) {
 		1: newClientWindow(10),
 		2: newClientWindow(20),
 	}
+	dedup[1].record(12, nil) // executed seqs above the floor ride along
+	dedup[1].record(15, nil)
 	enc := encodeDedup(dedup)
 	for i := 0; i < len(enc); i++ {
 		if _, err := decodeDedup(enc[:i]); err == nil {
@@ -255,6 +257,58 @@ func TestDecodeDedupRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := decodeDedup(enc); err != nil {
 		t.Errorf("rejected intact encoding: %v", err)
+	}
+}
+
+// TestRestoredDedupSuppressesDuplicatesAboveFloor: a replica restored
+// from a checkpoint must suppress the same duplicates the live replicas
+// do. A store client's seqs are never contiguous at one partition (one
+// counter serves every partition), so the floor alone loses executed seqs
+// above it: a retried command whose first copy executed before the
+// checkpoint would execute again on the restored replica only, and the
+// replicas would diverge.
+func TestRestoredDedupSuppressesDuplicatesAboveFloor(t *testing.T) {
+	liveSM := &counterSM{}
+	live := &Replica{
+		cfg:   ReplicaConfig{Partition: 1, SM: liveSM},
+		dedup: make(map[transport.ProcessID]*clientWindow),
+	}
+	live.deliverBatch([]core.Delivery{makeDelivery(9, 2, 5), makeDelivery(9, 4, 7)})
+
+	// Round-trip through the checkpoint state layout, as recovery does.
+	state := encodeStateParts(core.Cursor{}, encodeDedup(live.dedup), liveSM.Snapshot())
+	_, dedupBytes, snap, err := decodeStateParts(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredSM := &counterSM{}
+	if err := restoredSM.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	dedup, err := decodeDedup(dedupBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := &Replica{
+		cfg:   ReplicaConfig{Partition: 1, SM: restoredSM},
+		dedup: dedup,
+	}
+
+	retry := []core.Delivery{makeDelivery(9, 2, 5)}
+	live.deliverBatch(retry)
+	restored.deliverBatch(retry)
+	if got := liveSM.Total(); got != 12 {
+		t.Fatalf("live total = %d, want 12", got)
+	}
+	if got := restoredSM.Total(); got != 12 {
+		t.Fatalf("restored total = %d, want 12: the retried seq re-executed after restore", got)
+	}
+	// The gap below the executed seqs is still open on both.
+	gap := []core.Delivery{makeDelivery(9, 3, 1)}
+	live.deliverBatch(gap)
+	restored.deliverBatch(gap)
+	if a, b := liveSM.Total(), restoredSM.Total(); a != 13 || b != 13 {
+		t.Fatalf("after seq 3: live %d, restored %d, want 13", a, b)
 	}
 }
 

@@ -2,6 +2,7 @@ package smr
 
 import (
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"amcast/internal/transport"
@@ -98,8 +99,9 @@ func FuzzChunkAssembly(f *testing.F) {
 
 // FuzzDecodeDedup hardens the dedup-table decoder: arbitrary bytes must
 // decode or error without panicking, and anything accepted must survive
-// an encode/decode round trip with identical floors (the table is part
-// of every checkpoint, so a lenient decoder would corrupt recovery).
+// an encode/decode round trip with identical floors and executed seqs
+// (the table is part of every checkpoint, so a lenient decoder would
+// corrupt recovery).
 func FuzzDecodeDedup(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeDedup(nil))
@@ -107,6 +109,11 @@ func FuzzDecodeDedup(f *testing.F) {
 		3: newClientWindow(17),
 		9: newClientWindow(0),
 	}))
+	sparse := newClientWindow(4)
+	for _, s := range []uint64{6, 9, 4100} {
+		sparse.record(s, nil)
+	}
+	f.Add(encodeDedup(map[transport.ProcessID]*clientWindow{5: sparse}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dedup, err := decodeDedup(data)
 		if err != nil {
@@ -124,6 +131,9 @@ func FuzzDecodeDedup(f *testing.F) {
 			w2 := dedup2[c]
 			if w2 == nil || w2.floor != w.floor {
 				t.Fatalf("round trip changed client %d floor", c)
+			}
+			if !slices.Equal(w2.executedAbove(), w.executedAbove()) {
+				t.Fatalf("round trip changed client %d executed seqs", c)
 			}
 		}
 	})

@@ -261,8 +261,8 @@ func (r *Replica) serveLocalRead(m transport.Message) {
 	}
 	// The apply gate keeps command application out while the read runs,
 	// so the read observes a batch-boundary state — never a partially
-	// applied batch (parallel apply commits runs out of delivery order
-	// within a batch).
+	// applied batch, whose state the applied vector and the dedup table
+	// do not describe yet.
 	r.applyGate.RLock()
 	resp, ok := reader.ReadLocal(m.Ring, op)
 	r.applyGate.RUnlock()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,15 +28,6 @@ type StateMachine interface {
 	Snapshot() []byte
 	// Restore replaces the state with a snapshot.
 	Restore(snapshot []byte) error
-}
-
-// BatchExecutor is an optional StateMachine extension: state machines
-// implement it to apply a run of operations under one internal
-// synchronization acquisition instead of per-operation. ExecuteBatch must
-// be equivalent to calling Execute for each (group, op) pair in order and
-// returning the responses positionally.
-type BatchExecutor interface {
-	ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]byte
 }
 
 // StateSnapshot is an immutable point-in-time capture of a state
@@ -117,12 +109,6 @@ type ReplicaConfig struct {
 	// transfers). It runs on the replica's service goroutine; it returns
 	// true when it consumed the message.
 	ServiceHook func(transport.Message) bool
-	// ExecWorkers sizes the conflict-aware parallel apply pool when the
-	// state machine implements ConflictExecutor: 0 or 1 applies
-	// sequentially (the default), >= 2 uses that many workers, and a
-	// negative value sizes the pool to GOMAXPROCS. Results, state and
-	// checkpoints are byte-identical either way.
-	ExecWorkers int
 	// Tracer, when set, records "apply" spans for sampled deliveries and
 	// rides the trace context back on the client response frame. Purely
 	// telemetry; never feeds replicated state.
@@ -133,16 +119,14 @@ type ReplicaConfig struct {
 // partition's groups, executes delivered commands, responds to clients,
 // checkpoints, answers the trim protocol and serves recovery RPCs.
 type Replica struct {
-	cfg     ReplicaConfig
-	tr      transport.Transport
-	batchSM BatchExecutor    // non-nil when SM supports batch apply
-	snapSM  SnapshotCapturer // non-nil when SM supports cheap capture
-	applier *Applier         // non-nil when parallel apply is enabled
+	cfg    ReplicaConfig
+	tr     transport.Transport
+	snapSM SnapshotCapturer // non-nil when SM supports cheap capture
 
 	// applyGate serializes command application (write side, held across
-	// deliverBatch) against local reads (read side): a parallel batch
-	// commits its runs out of delivery order, so mid-batch states are
-	// not prefixes of the delivered order and must never be observed.
+	// deliverBatch) against local reads and ForceCheckpoint (read side):
+	// those must observe only batch-boundary states, the ones appliedVec
+	// and the dedup table describe.
 	applyGate sync.RWMutex
 
 	// Read-index state: appliedVec is the delivered prefix whose
@@ -187,18 +171,7 @@ type Replica struct {
 	dedup     map[transport.ProcessID]*clientWindow // duplicate suppression
 	executed  uint64
 	sinceCkpt int
-
-	// Scratch buffers for batch execution, owned by the merge goroutine
-	// and reused across batches: the current run of dedup-cleared
-	// commands awaiting execution, and the batch's pending responses.
-	runGroups []transport.RingID
-	runOps    [][]byte
-	runWins   []*clientWindow
-	runSeqs   []uint64
-	runResp   []int // respBuf index whose Payload the run result fills
-	runKeys   map[cmdKey]struct{}
-	respBuf   []transport.Message
-	outBuf    [][]byte // parallel-apply result staging, reused across runs
+	respBuf   []transport.Message // the batch's pending responses, reused
 
 	executedTotal atomic.Uint64
 	checkpoints   atomic.Uint64
@@ -206,13 +179,6 @@ type Replica struct {
 	done     chan struct{}
 	loopDone chan struct{}
 	stopOnce sync.Once
-}
-
-// cmdKey identifies a client command for duplicate detection within one
-// execution run.
-type cmdKey struct {
-	client transport.ProcessID
-	seq    uint64
 }
 
 // BuildNodeResult carries what BuildNode recovered.
@@ -539,9 +505,30 @@ func (w *clientWindow) record(seq uint64, resp []byte) {
 	}
 }
 
-// encodeDedup serializes the duplicate-suppression floors in ascending
-// client-id order, so identical dedup states encode to identical
-// (checksummable) bytes regardless of map iteration order.
+// executedAbove returns the executed seqs above the floor, ascending.
+func (w *clientWindow) executedAbove() []uint64 {
+	var out []uint64
+	for _, s := range w.seqs {
+		if s > w.floor {
+			out = append(out, s)
+		}
+	}
+	for s := range w.overflow {
+		if s > w.floor {
+			out = append(out, s)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// encodeDedup serializes the duplicate-suppression table: per client, in
+// ascending client-id order, the floor and the executed seqs above it in
+// ascending order, so identical dedup states encode to identical
+// (checksummable) bytes regardless of map iteration order. Layout:
+// count(4) || { client(4) floor(8) nabove(4) seq(8)*nabove }*count.
+// Cached responses are not persisted: a restored replica answers a
+// duplicate with an empty payload.
 //
 //lint:deterministic
 func encodeDedup(dedup map[transport.ProcessID]*clientWindow) []byte {
@@ -550,36 +537,66 @@ func encodeDedup(dedup map[transport.ProcessID]*clientWindow) []byte {
 		ids = append(ids, c)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 4, 4+12*len(ids))
+	buf := make([]byte, 4, 4+16*len(ids))
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(ids)))
-	var tmp [8]byte
 	for _, c := range ids {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(c))
-		buf = append(buf, tmp[:4]...)
-		binary.LittleEndian.PutUint64(tmp[:8], dedup[c].floor)
-		buf = append(buf, tmp[:8]...)
+		w := dedup[c]
+		above := w.executedAbove()
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+		buf = binary.LittleEndian.AppendUint64(buf, w.floor)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(above)))
+		for _, s := range above {
+			buf = binary.LittleEndian.AppendUint64(buf, s)
+		}
 	}
 	return buf
 }
 
-// decodeDedup parses encodeDedup output. Truncated or oversized input
-// returns ErrCorrupt instead of a silently partial table — a damaged dedup
-// table restored into a replica would re-execute commands it already
-// executed.
+// decodeDedup parses encodeDedup output. Truncated, oversized or
+// out-of-order input returns ErrCorrupt instead of a silently partial
+// table — a damaged dedup table restored into a replica would re-execute
+// commands it already executed.
 func decodeDedup(buf []byte) (map[transport.ProcessID]*clientWindow, error) {
 	if len(buf) < 4 {
 		return nil, recovery.ErrCorrupt
 	}
 	n := int(binary.LittleEndian.Uint32(buf[:4]))
 	buf = buf[4:]
-	if len(buf) != 12*n {
+	if n > len(buf)/16 {
 		return nil, recovery.ErrCorrupt
 	}
 	out := make(map[transport.ProcessID]*clientWindow, n)
 	for i := 0; i < n; i++ {
+		if len(buf) < 16 {
+			return nil, recovery.ErrCorrupt
+		}
 		c := transport.ProcessID(binary.LittleEndian.Uint32(buf[:4]))
-		out[c] = newClientWindow(binary.LittleEndian.Uint64(buf[4:12]))
-		buf = buf[12:]
+		floor := binary.LittleEndian.Uint64(buf[4:12])
+		m := int(binary.LittleEndian.Uint32(buf[12:16]))
+		buf = buf[16:]
+		if _, dup := out[c]; dup || m > len(buf)/8 {
+			return nil, recovery.ErrCorrupt
+		}
+		w := newClientWindow(floor)
+		prev := floor
+		for k := 0; k < m; k++ {
+			s := binary.LittleEndian.Uint64(buf[8*k:])
+			if s <= prev {
+				return nil, recovery.ErrCorrupt
+			}
+			w.record(s, nil)
+			prev = s
+		}
+		// The encoder's floor covers the whole contiguous prefix, so a
+		// listed seq can never extend it.
+		if w.floor != floor {
+			return nil, recovery.ErrCorrupt
+		}
+		buf = buf[8*m:]
+		out[c] = w
+	}
+	if len(buf) != 0 {
+		return nil, recovery.ErrCorrupt
 	}
 	return out, nil
 }
@@ -595,18 +612,13 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 		tr:       cfg.Transport,
 		dedup:    make(map[transport.ProcessID]*clientWindow),
 		safeVec:  make(recovery.Vector),
-		runKeys:  make(map[cmdKey]struct{}),
 		ckptKick: make(chan struct{}, 1),
 		ckptDone: make(chan struct{}),
 		done:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		readWait: metrics.NewHistogram(),
 	}
-	r.batchSM, _ = cfg.SM.(BatchExecutor)
 	r.snapSM, _ = cfg.SM.(SnapshotCapturer)
-	if cx, ok := cfg.SM.(ConflictExecutor); ok && (cfg.ExecWorkers >= 2 || cfg.ExecWorkers < 0) {
-		r.applier = NewApplier(cx, cfg.ExecWorkers)
-	}
 	groups := cfg.Groups
 	if len(recovered.State) > 0 {
 		cur, dedup, snap, err := decodeStateParts(recovered.State)
@@ -677,12 +689,14 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 	return r, nil
 }
 
-// deliverBatch executes one batch of delivered commands; it runs on the
-// merge goroutine, so state machine access is single-threaded and the
-// whole pass — duplicate suppression, execution (through the state
-// machine's batch entry point when it has one) and checkpoint accounting
-// — touches only merge-owned state, lock-free. Client responses are
-// flushed together after execution.
+// deliverBatch executes one batch of delivered commands in delivery
+// order; it runs on the merge goroutine, so state machine access is
+// single-threaded and the whole pass — duplicate suppression, execution
+// and checkpoint accounting — touches only merge-owned state, lock-free.
+// Each new command is recorded in its client's window as soon as it
+// executes, so a command delivered twice in one batch is suppressed by the
+// ordinary window check. Client responses are flushed together after the
+// batch.
 //
 // Ownership: d.Data may alias pooled buffers the core releases when this
 // handler returns, so everything here — decode, execute, reply flush —
@@ -693,9 +707,8 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 //
 //lint:deterministic
 func (r *Replica) deliverBatch(ds []core.Delivery) {
-	// Local reads are shut out for the duration: parallel apply commits
-	// runs out of delivery order, so mid-batch states are not prefixes
-	// of the delivered order.
+	// Local reads and ForceCheckpoint are shut out for the duration, so
+	// they only ever see the state at a batch boundary.
 	r.applyGate.Lock()
 	r.respBuf = r.respBuf[:0]
 	executed := 0
@@ -710,35 +723,23 @@ func (r *Replica) deliverBatch(ds []core.Delivery) {
 			w = newClientWindow(0)
 			r.dedup[cmd.Client] = w
 		}
-		key := cmdKey{cmd.Client, cmd.Seq}
-		if _, pending := r.runKeys[key]; pending {
-			// The same command appears twice in one batch: settle the
-			// run so the window exposes the first occurrence's result
-			// and the repeat is suppressed as the duplicate it is.
-			executed += r.flushRun()
-		}
-		dup, resp := w.check(cmd.Seq)
-		if dup {
+		if dup, resp := w.check(cmd.Seq); dup {
 			r.appendResp(cmd, d.Group, resp)
 			continue
 		}
-		r.runKeys[key] = struct{}{}
-		r.runGroups = append(r.runGroups, d.Group)
-		r.runOps = append(r.runOps, cmd.Op)
-		r.runWins = append(r.runWins, w)
-		r.runSeqs = append(r.runSeqs, cmd.Seq)
-		idx := r.appendResp(cmd, d.Group, nil)
-		r.runResp = append(r.runResp, idx)
-		if r.cfg.Tracer != nil && d.Trace.Sampled() {
+		traced := r.cfg.Tracer != nil && d.Trace.Sampled()
+		if traced {
 			r.cfg.Tracer.Add(d.Trace, "apply", uint32(d.Group), d.Instance, d.ValueID, time.Now(), 0) //lint:allow determinism trace telemetry only: the span timestamp feeds the trace recorder, never replicated state
-			if idx >= 0 {
-				// Ride the context back on the reply frame so the trace
-				// spans the full round trip on the wire as well.
-				r.respBuf[idx].Traces = []transport.TraceRef{{ValueID: d.ValueID, Ctx: d.Trace}}
-			}
+		}
+		resp := r.cfg.SM.Execute(d.Group, cmd.Op)
+		w.record(cmd.Seq, resp)
+		executed++
+		if idx := r.appendResp(cmd, d.Group, resp); traced && idx >= 0 {
+			// Ride the context back on the reply frame so the trace
+			// spans the full round trip on the wire as well.
+			r.respBuf[idx].Traces = []transport.TraceRef{{ValueID: d.ValueID, Ctx: d.Trace}}
 		}
 	}
-	executed += r.flushRun()
 	r.executed += uint64(executed)
 	r.sinceCkpt += executed
 	takeCkpt := r.cfg.CheckpointEvery > 0 && r.sinceCkpt >= r.cfg.CheckpointEvery
@@ -811,54 +812,6 @@ func (r *Replica) appendResp(cmd Command, group transport.RingID, payload []byte
 		Payload: payload,
 	})
 	return len(r.respBuf) - 1
-}
-
-// flushRun executes the pending run of dedup-cleared commands — through
-// the state machine's batch entry point when available — records results
-// in the client windows and fills the queued responses. Runs on the merge
-// goroutine. Returns the number of commands executed.
-func (r *Replica) flushRun() int {
-	nrun := len(r.runOps)
-	if nrun == 0 {
-		return 0
-	}
-	if r.applier != nil && nrun > 1 {
-		// Conflict-aware parallel apply: results come back positionally
-		// in r.outBuf (reused across batches), byte-identical to
-		// sequential execution.
-		for len(r.outBuf) < nrun {
-			r.outBuf = append(r.outBuf, nil)
-		}
-		out := r.outBuf[:nrun]
-		r.applier.Apply(r.runGroups, r.runOps, out)
-		for i := range out {
-			r.settleRun(i, out[i])
-			out[i] = nil // release result references
-		}
-	} else if r.batchSM != nil && nrun > 1 {
-		for i, out := range r.batchSM.ExecuteBatch(r.runGroups, r.runOps) {
-			r.settleRun(i, out)
-		}
-	} else {
-		for i, op := range r.runOps {
-			r.settleRun(i, r.cfg.SM.Execute(r.runGroups[i], op))
-		}
-	}
-	r.runGroups = r.runGroups[:0]
-	r.runOps = r.runOps[:0]
-	r.runWins = r.runWins[:0]
-	r.runSeqs = r.runSeqs[:0]
-	r.runResp = r.runResp[:0]
-	clear(r.runKeys)
-	return nrun
-}
-
-// settleRun records one run entry's execution result.
-func (r *Replica) settleRun(i int, out []byte) {
-	r.runWins[i].record(r.runSeqs[i], out)
-	if idx := r.runResp[i]; idx >= 0 {
-		r.respBuf[idx].Payload = out
-	}
 }
 
 // ckptCapture is everything the checkpoint writer needs, captured
@@ -1270,12 +1223,5 @@ func (r *Replica) Stop() {
 		close(r.done)
 		<-r.loopDone
 		<-r.ckptDone
-		if r.applier != nil {
-			r.applier.Close()
-		}
 	})
 }
-
-// Applier exposes the parallel-apply scheduler for instrumentation (nil
-// when the replica executes sequentially).
-func (r *Replica) Applier() *Applier { return r.applier }

@@ -2,7 +2,6 @@ package smr
 
 import (
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"amcast/internal/core"
@@ -100,11 +99,9 @@ func makeDelivery(client transport.ProcessID, seq uint64, add uint64) core.Deliv
 func TestDeliverBatchDuplicateWithinBatch(t *testing.T) {
 	sm := &counterSM{}
 	r := &Replica{
-		cfg:     ReplicaConfig{Partition: 1, SM: sm},
-		dedup:   make(map[transport.ProcessID]*clientWindow),
-		runKeys: make(map[cmdKey]struct{}),
+		cfg:   ReplicaConfig{Partition: 1, SM: sm},
+		dedup: make(map[transport.ProcessID]*clientWindow),
 	}
-	r.batchSM, _ = any(sm).(BatchExecutor)
 
 	r.deliverBatch([]core.Delivery{
 		makeDelivery(9, 1, 5),
@@ -122,81 +119,5 @@ func TestDeliverBatchDuplicateWithinBatch(t *testing.T) {
 	r.deliverBatch([]core.Delivery{makeDelivery(9, 2, 7)})
 	if got := sm.Total(); got != 13 {
 		t.Fatalf("total = %d after cross-batch duplicate, want 13", got)
-	}
-}
-
-// batchCounterSM wraps counterSM with a BatchExecutor implementation so
-// the replica's batch entry point is exercised.
-type batchCounterSM struct {
-	counterSM
-	batchCalls int
-}
-
-func (b *batchCounterSM) ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]byte {
-	b.batchCalls++
-	out := make([][]byte, len(ops))
-	for i, op := range ops {
-		out[i] = b.Execute(groups[i], op)
-	}
-	return out
-}
-
-// TestDeliverBatchUsesBatchExecutor verifies multi-command runs go through
-// ExecuteBatch and responses land positionally.
-func TestDeliverBatchUsesBatchExecutor(t *testing.T) {
-	sm := &batchCounterSM{}
-	r := &Replica{
-		cfg:     ReplicaConfig{Partition: 1, SM: sm},
-		dedup:   make(map[transport.ProcessID]*clientWindow),
-		runKeys: make(map[cmdKey]struct{}),
-	}
-	r.batchSM = sm
-
-	var batch []core.Delivery
-	for s := uint64(1); s <= 5; s++ {
-		batch = append(batch, makeDelivery(4, s, s))
-	}
-	r.deliverBatch(batch)
-	if sm.batchCalls != 1 {
-		t.Fatalf("ExecuteBatch calls = %d, want 1", sm.batchCalls)
-	}
-	if got := sm.Total(); got != 15 {
-		t.Fatalf("total = %d, want 15", got)
-	}
-	// Responses cached for duplicate re-reply carry the running totals.
-	w := r.dedup[4]
-	for s := uint64(1); s <= 5; s++ {
-		_, resp := w.check(s)
-		want := s * (s + 1) / 2
-		if got := binary.LittleEndian.Uint64(resp); got != want {
-			t.Fatalf("cached resp for seq %d = %d, want %d", s, got, want)
-		}
-	}
-}
-
-// TestExecuteBatchMatchesExecute is the store-level equivalence property
-// between the per-op and batch apply entry points.
-func TestExecuteBatchMatchesExecute(t *testing.T) {
-	a, b := &batchCounterSM{}, &batchCounterSM{}
-	var ops [][]byte
-	var groups []transport.RingID
-	for i := 0; i < 20; i++ {
-		var op [8]byte
-		binary.LittleEndian.PutUint64(op[:], uint64(i))
-		ops = append(ops, op[:])
-		groups = append(groups, 1)
-	}
-	var single [][]byte
-	for i, op := range ops {
-		single = append(single, a.Execute(groups[i], op))
-	}
-	batched := b.ExecuteBatch(groups, ops)
-	if len(single) != len(batched) {
-		t.Fatalf("length mismatch %d vs %d", len(single), len(batched))
-	}
-	for i := range single {
-		if fmt.Sprintf("%x", single[i]) != fmt.Sprintf("%x", batched[i]) {
-			t.Fatalf("result %d diverges", i)
-		}
 	}
 }

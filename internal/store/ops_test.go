@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -291,38 +290,5 @@ func TestSMSnapshotRestore(t *testing.T) {
 	}
 	if err := sm2.Restore([]byte{1, 2}); err == nil {
 		t.Error("corrupt snapshot accepted")
-	}
-}
-
-// TestSMExecuteBatchMatchesExecute checks the batch apply entry point is
-// equivalent to per-op Execute, including error results and reads.
-func TestSMExecuteBatchMatchesExecute(t *testing.T) {
-	ops := [][]byte{
-		Op{Kind: OpInsert, Key: "a", Value: []byte("1")}.Encode(),
-		Op{Kind: OpInsert, Key: "a", Value: []byte("2")}.Encode(), // exists
-		Op{Kind: OpRead, Key: "a"}.Encode(),
-		Op{Kind: OpUpdate, Key: "a", Value: []byte("3")}.Encode(),
-		Op{Kind: OpRead, Key: "a"}.Encode(),
-		Op{Kind: OpDelete, Key: "a"}.Encode(),
-		Op{Kind: OpRead, Key: "a"}.Encode(), // not found
-		{0xFF},                              // undecodable
-	}
-	groups := make([]transport.RingID, len(ops))
-	for i := range groups {
-		groups[i] = 1
-	}
-	single, batched := NewSM(), NewSM()
-	var want [][]byte
-	for i, op := range ops {
-		want = append(want, single.Execute(groups[i], op))
-	}
-	got := batched.ExecuteBatch(groups, ops)
-	if len(got) != len(want) {
-		t.Fatalf("results %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("result %d: batch %x, single %x", i, got[i], want[i])
-		}
 	}
 }

@@ -163,7 +163,6 @@ func (s *SM) ReleaseOutgoing(id uint64) {
 
 var (
 	_ smr.StateMachine     = (*SM)(nil)
-	_ smr.BatchExecutor    = (*SM)(nil)
 	_ smr.SnapshotCapturer = (*SM)(nil)
 )
 
@@ -178,25 +177,6 @@ func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return encodeResult(s.apply(op))
-}
-
-// ExecuteBatch applies a run of encoded operations under one lock
-// acquisition (batch-at-a-time delivery's entry point).
-//
-//lint:deterministic
-func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
-	out := make([][]byte, len(ops))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, raw := range ops {
-		op, err := DecodeOp(raw)
-		if err != nil {
-			out[i] = encodeResult(Result{Status: StatusBadRequest})
-			continue
-		}
-		out[i] = encodeResult(s.apply(op))
-	}
-	return out
 }
 
 func (s *SM) apply(op Op) Result {
@@ -544,10 +524,6 @@ type ServerConfig struct {
 	GlobalLambda int
 	// RecoveryTimeout bounds peer recovery; zero skips peer recovery.
 	RecoveryTimeout time.Duration
-	// ExecWorkers sizes the conflict-aware parallel apply pool: 0 or 1
-	// applies sequentially, >= 2 uses that many workers, negative uses
-	// GOMAXPROCS (see smr.ReplicaConfig.ExecWorkers).
-	ExecWorkers int
 	// Tracer, when set, records this process's spans for distributed
 	// tracing (telemetry only).
 	Tracer *trace.Recorder
@@ -616,7 +592,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		CheckpointEvery: cfg.CheckpointEvery,
 		SyncCheckpoints: cfg.SyncCheckpoints,
 		ServiceHook:     rangeTransferHook(sm, tr),
-		ExecWorkers:     cfg.ExecWorkers,
 		Tracer:          cfg.Tracer,
 	}, built.Checkpoint)
 	if err != nil {

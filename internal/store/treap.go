@@ -111,29 +111,6 @@ func (s treapSnapshot) All(fn func(key string, value []byte) bool) {
 	allNodes(s.root, fn)
 }
 
-// Get returns the value stored under key in the captured version. Safe
-// from any goroutine: the captured nodes are immutable.
-func (s treapSnapshot) Get(key string) ([]byte, bool) {
-	n := s.root
-	for n != nil {
-		switch c := strings.Compare(key, n.key); {
-		case c == 0:
-			return n.value, true
-		case c < 0:
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	return nil, false
-}
-
-// Range calls fn for every captured entry with lo <= key <= hi in
-// ascending key order; fn returning false stops the iteration.
-func (s treapSnapshot) Range(lo, hi string, fn func(key string, value []byte) bool) {
-	rangeNodes(s.root, lo, hi, fn)
-}
-
 // Get returns the value stored under key.
 func (t *treap) Get(key string) ([]byte, bool) {
 	n := t.root

@@ -26,7 +26,6 @@ type TCPNode struct {
 	conns  map[ProcessID]*tcpConn
 	redial map[ProcessID]*redialState
 	closed bool
-	pooled bool
 
 	dropped atomic.Uint64
 
@@ -103,22 +102,10 @@ func ListenTCP(id ProcessID, addr string) (*TCPNode, error) {
 		addrs:  make(map[ProcessID]string),
 		conns:  make(map[ProcessID]*tcpConn),
 		redial: make(map[ProcessID]*redialState),
-		pooled: true,
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
-}
-
-// SetPooling toggles pooled read blocks (on by default). With pooling
-// off every inbound frame is decoded from a fresh heap buffer and no
-// message carries pooled references — the pre-pool behaviour, kept as
-// the comparison baseline for cmd/bench -mem. Call before traffic
-// flows; the setting is read at connection setup.
-func (n *TCPNode) SetPooling(on bool) {
-	n.mu.Lock()
-	n.pooled = on
-	n.mu.Unlock()
 }
 
 // DroppedSends reports messages dropped on the send path: destination
@@ -341,27 +328,19 @@ func (n *TCPNode) acceptLoop() {
 // allocation of the naive loop both disappear.
 const readBlockSize = 256 << 10
 
-// readLoop drains one inbound connection. In pooled mode (the default)
-// it reads many frames per syscall into a pooled block and decodes them
-// aliasing the block's storage: each ring-kind message carries a block
-// reference that its consumer releases after the burst drains, while
-// other kinds — whose consumers may hold bytes indefinitely — are
-// detached onto the heap immediately. A partial frame left at the end
-// of a block is moved (never compacted in place — earlier frames in the
-// block are still referenced) to a fresh block sized for the frame.
+// readLoop drains one inbound connection. It reads many frames per
+// syscall into a pooled block and decodes them aliasing the block's
+// storage: each ring-kind message carries a block reference that its
+// consumer releases after the burst drains, while other kinds — whose
+// consumers may hold bytes indefinitely — are detached onto the heap
+// immediately. A partial frame left at the end of a block is moved
+// (never compacted in place — earlier frames in the block are still
+// referenced) to a fresh block sized for the frame.
 //
 //lint:pooled
 func (n *TCPNode) readLoop(raw net.Conn) {
 	defer n.wg.Done()
 	defer func() { _ = raw.Close() }()
-	n.mu.Lock()
-	pooled := n.pooled
-	n.mu.Unlock()
-	if !pooled {
-		n.readLoopUnpooled(raw)
-		return
-	}
-
 	block := bufpool.Get(readBlockSize)
 	defer func() { block.Release() }()
 	data := block.Bytes()
@@ -414,30 +393,5 @@ func (n *TCPNode) readLoop(raw net.Conn) {
 			return
 		}
 		end += nn
-	}
-}
-
-// readLoopUnpooled is the pre-pool read path: one length-prefix read
-// and one fresh heap buffer per frame. Kept as the -mem benchmark's
-// baseline and for SetPooling(false) deployments.
-func (n *TCPNode) readLoopUnpooled(raw net.Conn) {
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(raw, lenBuf[:]); err != nil {
-			return
-		}
-		size := binary.LittleEndian.Uint32(lenBuf[:])
-		if size == 0 || size > maxFrame {
-			return
-		}
-		frame := make([]byte, size)
-		if _, err := io.ReadFull(raw, frame); err != nil {
-			return
-		}
-		m, err := DecodeMessage(frame)
-		if err != nil {
-			return
-		}
-		n.mb.push(m)
 	}
 }
