@@ -61,7 +61,8 @@ type Delivery struct {
 	Group GroupID
 	// Instance is the consensus instance that decided it.
 	Instance uint64
-	// Data is the message payload.
+	// Data is the message payload. The bytes are valid only until the
+	// handler it was passed to returns; copy anything kept longer.
 	Data []byte
 }
 

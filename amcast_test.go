@@ -36,7 +36,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		}
 		ch := make(chan Delivery, 64)
 		chans[i] = ch
-		if err := n.Subscribe(func(d Delivery) { ch <- d }, 1); err != nil {
+		if err := n.Subscribe(forward(ch), 1); err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, n)
@@ -158,7 +158,7 @@ func TestPublicAPIGeoSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 2 {
-			if err := n.Subscribe(func(d Delivery) { ch <- d }, 1); err != nil {
+			if err := n.Subscribe(forward(ch), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,7 +194,7 @@ func TestPublicAPICrashRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sink != nil {
-			if err := n.Subscribe(func(d Delivery) { sink <- d }, 1); err != nil {
+			if err := n.Subscribe(forward(sink), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -274,7 +274,7 @@ func TestPublicAPIDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := make(chan Delivery, 1)
-	if err := n.Subscribe(func(d Delivery) { ch <- d }, 1); err != nil {
+	if err := n.Subscribe(forward(ch), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Multicast(1, []byte("durable")); err != nil {
@@ -334,5 +334,14 @@ func TestSubscribeBatch(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("timed out at delivery %d", i)
 		}
+	}
+}
+
+// forward returns a handler that sends each delivery to ch with its Data
+// copied: the payload bytes are valid only until the handler returns.
+func forward(ch chan<- Delivery) func(Delivery) {
+	return func(d Delivery) {
+		d.Data = append([]byte(nil), d.Data...)
+		ch <- d
 	}
 }

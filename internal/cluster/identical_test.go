@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,9 +70,7 @@ func TestReplicasStayByteIdentical(t *testing.T) {
 				case 1:
 					_, err = sc.Scan("eq000", "eq999")
 				default:
-					if insErr := sc.Insert(k, []byte(fmt.Sprintf("w%d-%d", w, i))); insErr != nil {
-						err = sc.Update(k, []byte(fmt.Sprintf("w%d-%d", w, i)))
-					}
+					err = upsert(sc, k, []byte(fmt.Sprintf("w%d-%d", w, i)))
 				}
 				if err != nil {
 					errs <- fmt.Errorf("worker %d op %d: %w", w, i, err)
@@ -105,4 +104,22 @@ func TestReplicasStayByteIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// upsert inserts k, or updates it if it already exists. Another worker's
+// Delete can remove k between the failed Insert and the Update, which
+// then rightly reports not-found: that case inserts again. Any other
+// error is returned.
+func upsert(sc *store.Client, k string, v []byte) error {
+	var err error
+	for attempt := 0; attempt < 10; attempt++ {
+		if sc.Insert(k, v) == nil {
+			return nil
+		}
+		err = sc.Update(k, v)
+		if err == nil || !strings.HasSuffix(err.Error(), store.StatusNotFound.String()) {
+			return err
+		}
+	}
+	return err
 }

@@ -62,7 +62,9 @@ type Delivery struct {
 	Instance uint64
 	// ValueID is the proposal's unique identifier.
 	ValueID uint64
-	// Data is the multicast payload.
+	// Data is the multicast payload. The bytes are valid only until the
+	// handler it was passed to returns (they may be pooled buffers that
+	// recycle afterwards); copy anything kept longer.
 	Data []byte
 	// Trace is the sampled trace context that rode the value's frames
 	// (zero for unsampled values). Telemetry only: it never influences
@@ -71,17 +73,20 @@ type Delivery struct {
 }
 
 // Handler consumes deliveries in merged order. It runs on the merge
-// goroutine; blocking it back-pressures the whole subscription.
+// goroutine; blocking it back-pressures the whole subscription. The
+// delivery's Data is valid only until the handler returns: a handler
+// that keeps the bytes (or the Delivery) past the call must copy Data.
 type Handler func(Delivery)
 
 // BatchHandler consumes batches of deliveries in merged order. It runs on
 // the merge goroutine; blocking it back-pressures the whole subscription.
-// The slice is reused between calls — handlers must not retain it. On
-// pooled transports (TCP) the payload bytes are backed by refcounted pool
-// buffers that recycle after the handler returns, so handlers must also
-// not retain Data: anything kept past the call (applied state, queued
-// replies) must be copied. smr.Replica applies and replies synchronously
-// inside the handler, so the contract holds there by construction.
+// The slice is reused between calls — handlers must not retain it. The
+// payload bytes may be backed by refcounted pool buffers (on TCP, and
+// for packed batches on any transport) that recycle after the handler
+// returns, so handlers must also not retain Data: anything kept past the
+// call (applied state, queued replies) must be copied. smr.Replica
+// applies and replies synchronously inside the handler, so the contract
+// holds there by construction.
 type BatchHandler func([]Delivery)
 
 // BatchOptions bounds the delivery batches handed to batch subscribers.

@@ -69,7 +69,8 @@ func newDeployment(t *testing.T, n int, ringsOf map[transport.RingID][]transport
 }
 
 // joinAll joins node id to the given rings and subscribes to subs with a
-// handler that forwards into the node's test channel.
+// handler that forwards into the node's test channel. The handler copies
+// Data: the payload bytes are valid only until the handler returns.
 func (d *deployment) joinAll(id transport.ProcessID, rings []transport.RingID, subs []transport.RingID) {
 	d.t.Helper()
 	for _, r := range rings {
@@ -79,7 +80,10 @@ func (d *deployment) joinAll(id transport.ProcessID, rings []transport.RingID, s
 	}
 	if len(subs) > 0 {
 		ch := d.chans[id]
-		if err := d.nodes[id].Subscribe(func(dd Delivery) { ch <- dd }, subs...); err != nil {
+		if err := d.nodes[id].Subscribe(func(dd Delivery) {
+			dd.Data = append([]byte(nil), dd.Data...)
+			ch <- dd
+		}, subs...); err != nil {
 			d.t.Fatalf("node %d subscribe: %v", id, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"bytes"
 	"time"
 
 	"amcast/internal/transport"
@@ -202,8 +203,8 @@ func (n *Node) forceEnqueue(b []Delivery) {
 // pumpCatchup advances catch-up once the consumer has drained enough of
 // the delivery buffer: the dropped range [catchupNext, nextDeliver) is
 // re-fetched through the retransmit path — served locally when this
-// process is an acceptor (the accepted map and the stable log hold every
-// decided instance below the delivery watermark), requested from a peer
+// process is an acceptor (its stable log holds every decided instance it
+// voted for below the delivery watermark), requested from a peer
 // acceptor otherwise. allowRemote gates the network request to the retry
 // tick so a hot event loop does not spam duplicate RetransmitReqs while a
 // response is in flight. Runs on the event loop.
@@ -265,13 +266,10 @@ func (n *Node) serveCatchupLocal(room int) {
 	batch := n.getBatch()
 	next := n.catchupNext.Load()
 	for room > 0 && next < n.nextDeliver {
-		v, ok := n.lookupDecided(next)
+		v, ok := n.loggedVote(next)
 		if !ok {
 			break
 		}
-		// Accepted-map values are pooled: the batch entry takes its own
-		// reference (nil-safe for log-served heap copies).
-		v.Buf.Retain()
 		batch = append(batch, Delivery{Ring: n.ring, Instance: next, Value: v})
 		next += v.Span()
 		room--
@@ -295,18 +293,43 @@ func (n *Node) serveCatchupLocal(room int) {
 	n.ReleaseBatch(batch)
 }
 
-// lookupDecided returns the decided value of an instance below the
-// delivery watermark, from the volatile accepted map or the stable log.
-func (n *Node) lookupDecided(inst uint64) (transport.Value, bool) {
-	if rec, ok := n.accepted[inst]; ok {
-		return rec.value, true
+// votesFrom returns this acceptor's votes for every instance at or above
+// from, for a Phase 1B report: the burst's staged votes and every vote
+// the log retains, including votes cast before a restart.
+func (n *Node) votesFrom(from uint64) []transport.InstanceValue {
+	top := n.cfg.Log.LastInstance()
+	for _, r := range n.walBatch {
+		top = max(top, r.Instance)
 	}
-	if n.cfg.Log != nil {
-		if rec, ok := n.cfg.Log.Get(inst); ok {
-			if _, rinst, v, err := decodeAccept(rec); err == nil && rinst == inst {
-				return v, true
-			}
+	var out []transport.InstanceValue
+	for inst := max(from, n.cfg.Log.FirstRetained(), 1); inst <= top; inst++ {
+		if v, ok := n.loggedVote(inst); ok {
+			out = append(out, transport.InstanceValue{Instance: inst, Value: v})
 		}
+	}
+	return out
+}
+
+// loggedVote returns this acceptor's latest vote for an instance. A vote
+// staged for the burst's group commit supersedes the log's copy; it is
+// copied out because its pooled record buffer recycles after the commit.
+// The value's bytes are heap memory (Buf nil), so callers may keep it.
+func (n *Node) loggedVote(inst uint64) (transport.Value, bool) {
+	var rec []byte
+	staged := false
+	for i := len(n.walBatch) - 1; i >= 0 && !staged; i-- {
+		if n.walBatch[i].Instance == inst {
+			rec, staged = bytes.Clone(n.walBatch[i].Data), true
+		}
+	}
+	if !staged {
+		var ok bool
+		if rec, ok = n.cfg.Log.Get(inst); !ok {
+			return transport.Value{}, false
+		}
+	}
+	if _, rinst, v, err := decodeAccept(rec); err == nil && rinst == inst {
+		return v, true
 	}
 	return transport.Value{}, false
 }

@@ -139,6 +139,7 @@ func (f *failLog) PutBatch(recs []storage.Record) error {
 func (f *failLog) Get(instance uint64) ([]byte, bool) { return f.inner.Get(instance) }
 func (f *failLog) Trim(upTo uint64) error             { return f.inner.Trim(upTo) }
 func (f *failLog) FirstRetained() uint64              { return f.inner.FirstRetained() }
+func (f *failLog) LastInstance() uint64               { return f.inner.LastInstance() }
 func (f *failLog) Sync() error                        { return f.inner.Sync() }
 func (f *failLog) Close() error                       { return f.inner.Close() }
 

@@ -178,12 +178,6 @@ type flight struct {
 	lastSent time.Time
 }
 
-// acceptedRec is the acceptor's volatile view of a vote (mirrored in Log).
-type acceptedRec struct {
-	ballot uint32
-	value  transport.Value
-}
-
 // Node is one process's participation in one ring. A process participates
 // in several rings by creating one Node per ring over a shared Router.
 type Node struct {
@@ -257,17 +251,24 @@ type Node struct {
 	inFlight      map[uint64]*flight
 	proposedInWin int
 
+	// phase1Timer re-runs a pending Phase 1 after phase1Backoff, which
+	// doubles from 1 ms per attempt up to a quarter of RetryInterval. A
+	// Phase 1A lost because the successor was not up yet (ring bring-up)
+	// is resent within milliseconds of it coming up, while a ring without
+	// a quorum is probed no faster than the retry tick.
+	phase1Timer   *time.Timer
+	phase1Backoff time.Duration
+
 	learned     map[uint64]transport.Value
 	nextDeliver uint64
 	maxDecided  uint64
 	idleTicks   int // retry ticks since the learner last made progress
 
-	accepted map[uint64]acceptedRec
-	// acceptedIdx keeps the keys of accepted sorted so Phase 1A report
-	// walks visit only instances >= the scan point instead of the whole
-	// map.
-	acceptedIdx []uint64
-
+	// An acceptor keeps no in-memory copy of its votes: a vote lives in
+	// walBatch until the burst's group commit, then only in cfg.Log,
+	// which serves Phase 1B reports (votesFrom) and retransmissions of
+	// decided instances, both through loggedVote.
+	//
 	// Group-commit staging (run-loop owned): handlers append durable
 	// votes to walBatch and outbound messages to stagedSends; at the end
 	// of each drained burst commitStaged issues one Log.PutBatch — one
@@ -356,7 +357,6 @@ func New(cfg Config) (*Node, error) {
 		learned:      make(map[uint64]transport.Value),
 		nextDeliver:  max(1, cfg.StartInstance),
 		nextInstance: 1,
-		accepted:     make(map[uint64]acceptedRec),
 		safeResps:    make(map[transport.ProcessID]uint64),
 		done:         make(chan struct{}),
 		loopDone:     make(chan struct{}),
@@ -365,6 +365,8 @@ func New(cfg Config) (*Node, error) {
 	if n.tracer != nil {
 		n.tags = newTraceTags()
 	}
+	n.phase1Timer = time.NewTimer(time.Hour)
+	n.phase1Timer.Stop() // armed by each Phase 1 run
 	n.dcond = sync.NewCond(&n.dmu)
 	n.pacer = newSkipPacer(cfg)
 	n.lambdaGauge.Set(int64(cfg.Lambda))

@@ -276,6 +276,47 @@ func TestSingleMemberRing(t *testing.T) {
 	}
 }
 
+// TestPhase1RetriesSoonAfterSuccessorStarts starts a coordinator before
+// its successor exists, so its first Phase 1A is lost. Phase 1 must be
+// re-run within milliseconds of the successor starting, not a whole
+// retry tick (here 1 s) later.
+func TestPhase1RetriesSoonAfterSuccessorStarts(t *testing.T) {
+	net := transport.NewNetwork(nil)
+	defer net.Close()
+	svc := coord.NewService()
+	all := coord.RoleProposer | coord.RoleAcceptor | coord.RoleLearner
+	if err := svc.CreateRing(1, []coord.Member{{ID: 1, Roles: all}, {ID: 2, Roles: all}}); err != nil {
+		t.Fatal(err)
+	}
+	start := func(id transport.ProcessID) *Node {
+		n, err := New(Config{
+			Ring:          1,
+			Self:          id,
+			Router:        transport.NewRouter(net.Attach(id, netem.SiteLocal)),
+			Coord:         svc,
+			Log:           storage.NewMemLog(),
+			RetryInterval: 4 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	n1 := start(1)
+	defer n1.Stop()
+	time.Sleep(20 * time.Millisecond) // process 1's Phase 1A to the absent process 2 is lost
+	n2 := start(2)
+	defer n2.Stop()
+	began := time.Now()
+	if err := n2.Propose([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	collect(t, n2, 1, 5*time.Second)
+	if d := time.Since(began); d > 500*time.Millisecond {
+		t.Fatalf("first value decided %v after the successor started, want < 500ms", d)
+	}
+}
+
 func TestCoordinatorFailover(t *testing.T) {
 	c := newCluster(t, 3, nil)
 	// Decide some values under the initial coordinator (process 1).

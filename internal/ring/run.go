@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"sort"
 	"time"
 
 	"amcast/internal/bufpool"
@@ -31,11 +30,12 @@ func (n *Node) run() {
 	// references with no remaining consumer are left by then.
 	defer n.releaseRunState()
 
-	// The retry ticker fires at a quarter of the retry interval so phase-1
-	// re-runs and gap probes react quickly after startup or elections; the
-	// re-proposal cutoff below still honours the full RetryInterval.
+	// The retry ticker fires at a quarter of the retry interval so gap
+	// probes react quickly after startup or elections; the re-proposal
+	// cutoff below still honours the full RetryInterval.
 	retry := time.NewTicker(n.cfg.RetryInterval / 4)
 	defer retry.Stop()
+	defer n.phase1Timer.Stop()
 
 	var skipC <-chan time.Time
 	if n.cfg.SkipEnabled {
@@ -93,6 +93,10 @@ func (n *Node) run() {
 					break drain
 				}
 			}
+		case <-n.phase1Timer.C:
+			if n.isCoord && !n.phase1Ready {
+				n.becomeCoordinator(n.ballot)
+			}
 		case <-retry.C:
 			n.retryUndecided()
 			n.chaseGaps()
@@ -142,17 +146,16 @@ func (n *Node) commitStaged() {
 		}
 		if err := n.cfg.Log.PutBatch(n.walBatch); err != nil {
 			// Durability failed. Drop the staged sends — un-logged votes
-			// must not circulate — but KEEP the staged records: the
-			// volatile accepted map already holds these votes and later
-			// Phase 1A reports will advertise them, so they must stay
-			// queued for the next commit attempt rather than be silently
-			// forgotten while the node keeps acting on them. A log that
-			// fails persistently wedges this acceptor's output (sends
-			// dropped, deliveries withheld) — and once the failure
-			// budget is spent the node steps out loudly (self MarkDown)
-			// so the surviving quorum stops waiting on its votes. The
-			// batch keeps retrying: if the disk recovers, the node
-			// rejoins on its own.
+			// must not circulate — but KEEP the staged records: later
+			// Phase 1B reports read them (votesFrom) and will advertise
+			// these votes, so they must stay queued for the next commit
+			// attempt rather than be silently forgotten while the node
+			// keeps acting on them. A log that fails persistently wedges
+			// this acceptor's output (sends dropped, deliveries withheld)
+			// — and once the failure budget is spent the node steps out
+			// loudly (self MarkDown) so the surviving quorum stops
+			// waiting on its votes. The batch keeps retrying: if the disk
+			// recovers, the node rejoins on its own.
 			n.commitWedged = true
 			n.commitFails++
 			n.commitFailCount.Add(1)
@@ -245,6 +248,7 @@ func (n *Node) applyConfig(cfg coord.RingConfig) {
 	wasCoord := n.isCoord
 	n.isCoord = cfg.Coordinator == n.id && cfg.Roles(n.id).Has(coord.RoleAcceptor)
 	if n.isCoord && (!wasCoord || n.ballot < uint32(cfg.Version)) {
+		n.phase1Backoff = 0 // a new term retries from the shortest wait
 		n.becomeCoordinator(uint32(cfg.Version))
 	}
 	if !n.isCoord {
@@ -278,6 +282,8 @@ func (n *Node) becomeCoordinator(ballot uint32) {
 		return
 	}
 	n.send(n.succ, m)
+	n.phase1Backoff = min(max(2*n.phase1Backoff, time.Millisecond), n.cfg.RetryInterval/4)
+	n.phase1Timer.Reset(n.phase1Backoff)
 }
 
 // handle dispatches one protocol message.
@@ -454,12 +460,11 @@ func (n *Node) proposeValue(v transport.Value) {
 	n.sendPhase2(inst, v)
 }
 
-// recordVote stages the durable vote record for an instance and tracks it
-// in the volatile accepted map and its sorted index. The staged record
-// commits (group commit) before any message of this burst leaves the node.
-// The record is encoded into a pooled buffer (tracked in walBufs, recycled
-// once the commit lands) and the accepted map takes its own payload
-// reference, held until the instance is trimmed or overwritten.
+// recordVote stages the durable vote record for an instance. The staged
+// record commits (group commit) before any message of this burst leaves
+// the node, and from then on the log is the vote's only copy. The record
+// is encoded into a pooled buffer (tracked in walBufs, recycled once the
+// commit lands); the vote keeps no reference to the value's payload.
 //
 //lint:pooled
 func (n *Node) recordVote(ballot uint32, inst uint64, v transport.Value) {
@@ -468,29 +473,6 @@ func (n *Node) recordVote(ballot uint32, inst uint64, v transport.Value) {
 	n.walBufs = append(n.walBufs, rec)
 	n.spanNow("vote", inst, v)
 	n.traceStagedVote(inst, v)
-	if old, ok := n.accepted[inst]; ok {
-		old.value.Buf.Release() // re-vote: drop the superseded value's ref
-	} else {
-		n.acceptedInsert(inst)
-	}
-	v.Buf.Retain()
-	n.accepted[inst] = acceptedRec{ballot: ballot, value: v}
-}
-
-// acceptedInsert adds a new instance to the sorted index. Votes arrive in
-// almost-increasing instance order, so the append path dominates.
-func (n *Node) acceptedInsert(inst uint64) {
-	if k := len(n.acceptedIdx); k == 0 || inst > n.acceptedIdx[k-1] {
-		n.acceptedIdx = append(n.acceptedIdx, inst)
-		return
-	}
-	i := sort.Search(len(n.acceptedIdx), func(i int) bool { return n.acceptedIdx[i] >= inst })
-	if i < len(n.acceptedIdx) && n.acceptedIdx[i] == inst {
-		return
-	}
-	n.acceptedIdx = append(n.acceptedIdx, 0)
-	copy(n.acceptedIdx[i+1:], n.acceptedIdx[i:])
-	n.acceptedIdx[i] = inst
 }
 
 // stagePromise stages the durable record of a raised promise.
@@ -525,8 +507,8 @@ func (n *Node) sendPhase2(inst uint64, v transport.Value) {
 }
 
 // acceptPhase1 applies a Phase 1A message at an acceptor: promise the
-// ballot (durably), vote, and attach this acceptor's accepted values so a
-// new coordinator can re-propose possibly-chosen values.
+// ballot (durably), vote, and attach this acceptor's votes at or above the
+// scan point so a new coordinator can re-propose possibly-chosen values.
 func (n *Node) acceptPhase1(m *transport.Message) {
 	if !n.isAcceptor() {
 		return
@@ -539,15 +521,7 @@ func (n *Node) acceptPhase1(m *transport.Message) {
 		n.stagePromise()
 	}
 	m.Votes++
-	// Report accepted values at or above the scan point: the sorted
-	// index finds the scan start in O(log n) and walks only instances
-	// >= it, instead of scanning the whole accepted map.
-	var report []transport.InstanceValue
-	start := sort.Search(len(n.acceptedIdx), func(i int) bool { return n.acceptedIdx[i] >= m.Instance })
-	for _, inst := range n.acceptedIdx[start:] {
-		report = append(report, transport.InstanceValue{Instance: inst, Value: n.accepted[inst].value})
-	}
-	if len(report) > 0 {
+	if report := n.votesFrom(m.Instance); len(report) > 0 {
 		existing, err := transport.DecodeBatch(m.Payload)
 		if err != nil {
 			existing = nil
@@ -735,13 +709,8 @@ func (n *Node) coordObserveDecided(inst uint64) {
 // retryUndecided re-proposes instances whose decision is overdue (lost
 // messages, successor change mid-flight).
 func (n *Node) retryUndecided() {
-	if !n.isCoord {
-		return
-	}
-	if !n.phase1Ready {
-		// Phase 1 may have been lost in a reconfiguration; re-run it.
-		n.becomeCoordinator(n.ballot)
-		return
+	if !n.isCoord || !n.phase1Ready {
+		return // a pending Phase 1 is re-run by phase1Timer
 	}
 	cutoff := time.Now().Add(-n.cfg.RetryInterval)
 	for inst, f := range n.inFlight {
@@ -807,7 +776,7 @@ func (n *Node) handleRetransmitReq(m transport.Message) {
 	var batch []transport.InstanceValue
 	end := m.Instance + uint64(m.Count)
 	for inst := m.Instance; inst < end && inst < n.nextDeliver; inst++ {
-		if v, ok := n.lookupDecided(inst); ok {
+		if v, ok := n.loggedVote(inst); ok {
 			batch = append(batch, transport.InstanceValue{Instance: inst, Value: v})
 			inst += v.Span() - 1
 		}
@@ -851,11 +820,10 @@ func (n *Node) handleRetransmitReq(m transport.Message) {
 const retransmitUnavailable = 1
 
 // firstRetainedFrom returns the smallest decided instance >= from that
-// this acceptor can still serve, or 0 if none.
+// this acceptor's log has not trimmed, or 0 if none.
 func (n *Node) firstRetainedFrom(from uint64) uint64 {
-	i := sort.Search(len(n.acceptedIdx), func(i int) bool { return n.acceptedIdx[i] >= from })
-	if i < len(n.acceptedIdx) && n.acceptedIdx[i] < n.nextDeliver {
-		return n.acceptedIdx[i]
+	if first := max(from, n.cfg.Log.FirstRetained()); first < n.nextDeliver {
+		return first
 	}
 	return 0
 }
@@ -1031,7 +999,7 @@ func (n *Node) handleSafeResp(m transport.Message) {
 	n.lastTrim = min
 	for _, a := range acceptors {
 		if a == n.id {
-			n.applyTrim(min)
+			_ = n.cfg.Log.Trim(min) // best effort: an untrimmed log only retains more
 			continue
 		}
 		n.send(a, transport.Message{Kind: transport.KindTrim, Ring: n.ring, Instance: min})
@@ -1043,20 +1011,7 @@ func (n *Node) handleTrim(m transport.Message) {
 	if !n.isAcceptor() {
 		return
 	}
-	n.applyTrim(m.Instance)
-}
-
-func (n *Node) applyTrim(upTo uint64) {
-	_ = n.cfg.Log.Trim(upTo)
-	i := sort.Search(len(n.acceptedIdx), func(i int) bool { return n.acceptedIdx[i] > upTo })
-	for _, inst := range n.acceptedIdx[:i] {
-		// Trim is the acceptor's release point for its payload reference.
-		n.accepted[inst].value.Buf.Release()
-		delete(n.accepted, inst)
-	}
-	// Copy down rather than re-slice so the trimmed prefix does not pin
-	// the backing array.
-	n.acceptedIdx = append(n.acceptedIdx[:0], n.acceptedIdx[i:]...)
+	_ = n.cfg.Log.Trim(m.Instance) // best effort: an untrimmed log only retains more
 }
 
 // send stages a message for transmission on this ring, stamping the ring

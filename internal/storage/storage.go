@@ -6,8 +6,9 @@
 //   - Log: the acceptor log contract — durable Put/Get of per-instance
 //     records plus prefix Trim (Section 5.1: acceptors log Phase 1B/2B
 //     responses before replying, and trim coordinated with checkpoints).
-//   - MemLog: volatile slot-buffer implementation, mirroring the paper's
-//     in-memory acceptors (pre-allocated buffers of 15000 slots × 32 KB).
+//   - MemLog: volatile implementation, a map from instance to record,
+//     standing in for the paper's in-memory acceptors (which bound
+//     retention with pre-allocated buffers; here Trim bounds it).
 //   - FileWAL: a real, file-backed segmented write-ahead log with
 //     synchronous and asynchronous modes and segment-granular trimming
 //     (the Berkeley DB substitute).
@@ -55,6 +56,10 @@ type Log interface {
 	// FirstRetained returns the lowest instance that is guaranteed still
 	// retrievable (0 if nothing was trimmed yet).
 	FirstRetained() uint64
+	// LastInstance returns the highest instance ever stored (0 if none;
+	// the reserved key 0 does not count). Its record may since have been
+	// trimmed. Acceptors bound their scan of the log by it.
+	LastInstance() uint64
 	// Sync flushes any buffered records to stable storage.
 	Sync() error
 	// Close releases resources, flushing buffered data first.
@@ -75,6 +80,7 @@ type MemLog struct {
 	mu      sync.RWMutex
 	records map[uint64][]byte
 	trimmed uint64
+	last    uint64
 	closed  bool
 
 	// pooled mode (NewPooledMemLog): records are copied into refcounted
@@ -125,6 +131,7 @@ func (l *MemLog) Put(instance uint64, record []byte) error {
 // store copies record into the map under l.mu, using a pool buffer in
 // pooled mode (releasing any overwritten one).
 func (l *MemLog) store(instance uint64, record []byte) {
+	l.last = max(l.last, instance)
 	if l.pooled {
 		if old, ok := l.bufs[instance]; ok {
 			old.Release()
@@ -202,6 +209,13 @@ func (l *MemLog) FirstRetained() uint64 {
 		return 0
 	}
 	return l.trimmed + 1
+}
+
+// LastInstance returns the highest instance ever stored.
+func (l *MemLog) LastInstance() uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.last
 }
 
 // Len reports the number of retained records.

@@ -57,6 +57,9 @@ func TestMemLogTrim(t *testing.T) {
 	if got := l.FirstRetained(); got != 7 {
 		t.Errorf("FirstRetained = %d, want 7", got)
 	}
+	if got := l.LastInstance(); got != 10 {
+		t.Errorf("LastInstance = %d, want 10", got)
+	}
 	// Puts below the watermark are ignored.
 	if err := l.Put(3, []byte("stale")); err != nil {
 		t.Fatal(err)
@@ -164,6 +167,9 @@ func TestFileWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = w2.Close() }()
+	if got := w2.LastInstance(); got != 100 {
+		t.Errorf("LastInstance after recovery = %d, want 100", got)
+	}
 	for i := uint64(1); i <= 100; i++ {
 		rec, ok := w2.Get(i)
 		if !ok {

@@ -63,6 +63,7 @@ type FileWAL struct {
 	index      map[uint64]walLoc
 	cache      *recordCache
 	trimmed    uint64
+	last       uint64 // highest instance appended or replayed
 	closed     bool
 
 	fsyncs     metrics.Counter
@@ -219,6 +220,7 @@ func (w *FileWAL) replaySegment(seg *walSegment) error {
 			return nil // corrupt tail; discard rest
 		}
 		w.index[inst] = walLoc{base: seg.base, off: off + 16, n: int(size)}
+		w.last = max(w.last, inst)
 		off += 16 + int64(size)
 		if first || inst < seg.first {
 			seg.first = inst
@@ -284,6 +286,7 @@ func (w *FileWAL) appendLocked(instance uint64, record []byte) error {
 	}
 	loc := walLoc{base: w.curBase, off: w.curSize + 16, n: len(record)}
 	w.index[instance] = loc
+	w.last = max(w.last, instance)
 	w.cache.addCopy(loc, record)
 	if w.curFirst == 0 || instance < w.curFirst {
 		w.curFirst = instance
@@ -488,6 +491,13 @@ func (w *FileWAL) FirstRetained() uint64 {
 		return 0
 	}
 	return w.trimmed + 1
+}
+
+// LastInstance returns the highest instance ever appended (or replayed).
+func (w *FileWAL) LastInstance() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.last
 }
 
 // Sync flushes buffered records and fsyncs the current segment.

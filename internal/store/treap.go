@@ -66,13 +66,17 @@ func newTreap() *treap {
 	return &treap{}
 }
 
-// priorityOf derives a node's heap priority from its key (FNV-1a). A
-// seeded rand.Rand would also be deterministic per replica, but its
-// stream position depends on operation *history* — a replica restored
-// from a snapshot and one that applied the ops organically would hold
-// differently shaped trees. Hashing the key makes the shape a pure
-// function of the key set, and keeps any random source out of the apply
-// path entirely.
+// priorityOf derives a node's heap priority from its key (FNV-1a, then
+// the fmix64 finalizer of MurmurHash3). A seeded rand.Rand would also be
+// deterministic per replica, but its stream position depends on
+// operation *history* — a replica restored from a snapshot and one that
+// applied the ops organically would hold differently shaped trees.
+// Hashing the key makes the shape a pure function of the key set, and
+// keeps any random source out of the apply path entirely.
+//
+// The finalizer matters: plain FNV-1a of keys that differ only in their
+// last bytes (YCSB's zero-padded "user%019d") yields priorities that
+// correlate with key order, and the treap degenerates toward a list.
 func priorityOf(key string) int64 {
 	const (
 		offset64 = 14695981039346656037
@@ -83,6 +87,11 @@ func priorityOf(key string) int64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return int64(h >> 1) // keep priorities non-negative
 }
 

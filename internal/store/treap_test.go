@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -127,6 +128,28 @@ func TestTreapMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTreapBalancedOnSequentialKeys bounds the tree depth for keys in the
+// YCSB shape ("user" + zero-padded decimal), which differ only in their
+// last bytes: the key-derived priorities must still look random, or the
+// treap degenerates and every Get walks a long path.
+func TestTreapBalancedOnSequentialKeys(t *testing.T) {
+	tr := newTreap()
+	const n = 10000
+	for i := 0; i < n; i++ {
+		tr.Put(fmt.Sprintf("user%019d", i), []byte("v"))
+	}
+	var depth func(*treapNode) int
+	depth = func(nd *treapNode) int {
+		if nd == nil {
+			return 0
+		}
+		return 1 + max(depth(nd.left), depth(nd.right))
+	}
+	if got, bound := depth(tr.root), 3*int(math.Log2(n)); got > bound {
+		t.Fatalf("depth %d for %d sequential keys, want <= %d (3 log2 n)", got, n, bound)
 	}
 }
 
