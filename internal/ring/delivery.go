@@ -266,7 +266,7 @@ func (n *Node) serveCatchupLocal(room int) {
 	batch := n.getBatch()
 	next := n.catchupNext.Load()
 	for room > 0 && next < n.nextDeliver {
-		v, ok := n.loggedVote(next)
+		_, v, ok := n.loggedVote(next)
 		if !ok {
 			break
 		}
@@ -293,28 +293,29 @@ func (n *Node) serveCatchupLocal(room int) {
 	n.ReleaseBatch(batch)
 }
 
-// votesFrom returns this acceptor's votes for every instance at or above
-// from, for a Phase 1B report: the burst's staged votes and every vote
-// the log retains, including votes cast before a restart.
-func (n *Node) votesFrom(from uint64) []transport.InstanceValue {
+// appendVotesFrom appends to a Phase 1B report this acceptor's votes, with
+// their ballots, for every instance at or above from: the burst's staged
+// votes and every vote the log retains, including votes cast before a
+// restart.
+func (n *Node) appendVotesFrom(report []byte, from uint64) []byte {
 	top := n.cfg.Log.LastInstance()
 	for _, r := range n.walBatch {
 		top = max(top, r.Instance)
 	}
-	var out []transport.InstanceValue
 	for inst := max(from, n.cfg.Log.FirstRetained(), 1); inst <= top; inst++ {
-		if v, ok := n.loggedVote(inst); ok {
-			out = append(out, transport.InstanceValue{Instance: inst, Value: v})
+		if ballot, v, ok := n.loggedVote(inst); ok {
+			report = appendReportVote(report, ballot, inst, v)
 		}
 	}
-	return out
+	return report
 }
 
-// loggedVote returns this acceptor's latest vote for an instance. A vote
-// staged for the burst's group commit supersedes the log's copy; it is
-// copied out because its pooled record buffer recycles after the commit.
-// The value's bytes are heap memory (Buf nil), so callers may keep it.
-func (n *Node) loggedVote(inst uint64) (transport.Value, bool) {
+// loggedVote returns this acceptor's latest vote for an instance and the
+// ballot it was cast at. A vote staged for the burst's group commit
+// supersedes the log's copy; it is copied out because its pooled record
+// buffer recycles after the commit. The value's bytes are heap memory
+// (Buf nil), so callers may keep it.
+func (n *Node) loggedVote(inst uint64) (uint32, transport.Value, bool) {
 	var rec []byte
 	staged := false
 	for i := len(n.walBatch) - 1; i >= 0 && !staged; i-- {
@@ -325,13 +326,13 @@ func (n *Node) loggedVote(inst uint64) (transport.Value, bool) {
 	if !staged {
 		var ok bool
 		if rec, ok = n.cfg.Log.Get(inst); !ok {
-			return transport.Value{}, false
+			return 0, transport.Value{}, false
 		}
 	}
-	if _, rinst, v, err := decodeAccept(rec); err == nil && rinst == inst {
-		return v, true
+	if ballot, rinst, v, err := decodeAccept(rec); err == nil && rinst == inst {
+		return ballot, v, true
 	}
-	return transport.Value{}, false
+	return 0, transport.Value{}, false
 }
 
 // peerAcceptors returns the live peer acceptors (excluding self) — the

@@ -2,6 +2,8 @@ package ring
 
 import (
 	"encoding/binary"
+	"maps"
+	"slices"
 
 	"amcast/internal/transport"
 )
@@ -59,6 +61,52 @@ func decodeAccept(rec []byte) (ballot uint32, instance uint64, v transport.Value
 		return 0, 0, transport.Value{}, transport.ErrShortMessage
 	}
 	return ballot, batch[0].Instance, batch[0].Value, nil
+}
+
+// A Phase 1B report is the reporting acceptors' vote records, each in the
+// log's encoding (which carries the ballot) behind its length:
+//
+//	{ len(4) || ballot(4) || EncodeBatch([{instance, value}]) }...
+//
+// Each acceptor on the ring appends its votes to the report it forwards.
+
+// appendReportVote appends one vote to a Phase 1B report.
+//
+//lint:deterministic
+func appendReportVote(report []byte, ballot uint32, instance uint64, v transport.Value) []byte {
+	report = binary.LittleEndian.AppendUint32(report, uint32(acceptRecordSize(v)))
+	return appendAccept(report, ballot, instance, v)
+}
+
+// highestVotes decodes a Phase 1B report and keeps, per instance, the value
+// voted at the highest ballot: Paxos lets a new coordinator re-propose only
+// that value, because any value already chosen is the one every vote at a
+// higher ballot carries. The result is in instance order.
+func highestVotes(report []byte) ([]transport.InstanceValue, error) {
+	type vote struct {
+		ballot uint32
+		value  transport.Value
+	}
+	best := make(map[uint64]vote)
+	for len(report) > 0 {
+		if len(report) < 4 || int(binary.LittleEndian.Uint32(report)) > len(report)-4 {
+			return nil, transport.ErrShortMessage
+		}
+		size := 4 + int(binary.LittleEndian.Uint32(report))
+		ballot, inst, v, err := decodeAccept(report[4:size])
+		if err != nil {
+			return nil, err
+		}
+		if b, ok := best[inst]; !ok || ballot > b.ballot {
+			best[inst] = vote{ballot, v}
+		}
+		report = report[size:]
+	}
+	out := make([]transport.InstanceValue, 0, len(best))
+	for _, inst := range slices.Sorted(maps.Keys(best)) {
+		out = append(out, transport.InstanceValue{Instance: inst, Value: best[inst].value})
+	}
+	return out, nil
 }
 
 // promiseInstance is the reserved log key for the acceptor's highest

@@ -266,7 +266,7 @@ type Node struct {
 
 	// An acceptor keeps no in-memory copy of its votes: a vote lives in
 	// walBatch until the burst's group commit, then only in cfg.Log,
-	// which serves Phase 1B reports (votesFrom) and retransmissions of
+	// which serves Phase 1B reports (appendVotesFrom) and retransmissions of
 	// decided instances, both through loggedVote.
 	//
 	// Group-commit staging (run-loop owned): handlers append durable

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"time"
 
 	"amcast/internal/bufpool"
@@ -147,7 +148,7 @@ func (n *Node) commitStaged() {
 		if err := n.cfg.Log.PutBatch(n.walBatch); err != nil {
 			// Durability failed. Drop the staged sends — un-logged votes
 			// must not circulate — but KEEP the staged records: later
-			// Phase 1B reports read them (votesFrom) and will advertise
+			// Phase 1B reports read them (appendVotesFrom) and will advertise
 			// these votes, so they must stay queued for the next commit
 			// attempt rather than be silently forgotten while the node
 			// keeps acting on them. A log that fails persistently wedges
@@ -521,13 +522,8 @@ func (n *Node) acceptPhase1(m *transport.Message) {
 		n.stagePromise()
 	}
 	m.Votes++
-	if report := n.votesFrom(m.Instance); len(report) > 0 {
-		existing, err := transport.DecodeBatch(m.Payload)
-		if err != nil {
-			existing = nil
-		}
-		m.Payload = transport.EncodeBatch(append(existing, report...))
-	}
+	// Clip so appending never writes into a payload another holder shares.
+	m.Payload = n.appendVotesFrom(slices.Clip(m.Payload), m.Instance)
 }
 
 // handlePhase1A processes a circulating Phase 1A: the originating
@@ -545,8 +541,9 @@ func (n *Node) handlePhase1A(m transport.Message) {
 }
 
 // completePhase1 finishes the coordinator's Phase 1: with a majority of
-// promises it re-proposes every reported accepted value (they may have been
-// chosen) and opens the pipeline.
+// promises it re-proposes, for every instance with reported votes, the
+// value of the highest reported ballot (it may have been chosen) and opens
+// the pipeline.
 func (n *Node) completePhase1(m transport.Message) {
 	n.mu.Lock()
 	majority := n.rc.Majority()
@@ -557,7 +554,7 @@ func (n *Node) completePhase1(m transport.Message) {
 		n.phase1Ready = false
 		return
 	}
-	reported, err := transport.DecodeBatch(m.Payload)
+	reported, err := highestVotes(m.Payload)
 	if err == nil {
 		// Re-propose reported values at the new ballot, highest
 		// instance first to fix nextInstance.
@@ -570,8 +567,13 @@ func (n *Node) completePhase1(m transport.Message) {
 			if iv.Instance < n.nextDeliver {
 				continue // already decided and delivered
 			}
-			if _, busy := n.inFlight[iv.Instance]; busy {
-				continue
+			if f, busy := n.inFlight[iv.Instance]; busy {
+				if f.value.ID == iv.Value.ID {
+					continue
+				}
+				// A vote at a higher ballot than our in-flight proposal
+				// carries another value, which may have been chosen.
+				f.value.Buf.Release()
 			}
 			n.inFlight[iv.Instance] = &flight{value: iv.Value, lastSent: time.Now()}
 			n.sendPhase2(iv.Instance, iv.Value)
@@ -776,7 +778,7 @@ func (n *Node) handleRetransmitReq(m transport.Message) {
 	var batch []transport.InstanceValue
 	end := m.Instance + uint64(m.Count)
 	for inst := m.Instance; inst < end && inst < n.nextDeliver; inst++ {
-		if v, ok := n.loggedVote(inst); ok {
+		if _, v, ok := n.loggedVote(inst); ok {
 			batch = append(batch, transport.InstanceValue{Instance: inst, Value: v})
 			inst += v.Span() - 1
 		}

@@ -2,7 +2,6 @@ package ring
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -55,12 +54,9 @@ func TestRestartedAcceptorReportsLoggedVotes(t *testing.T) {
 			if m.Kind != transport.KindPhase1A {
 				continue
 			}
-			var report []transport.InstanceValue
-			if len(m.Payload) > 0 { // an empty report has no encoding
-				var err error
-				if report, err = transport.DecodeBatch(m.Payload); err != nil {
-					t.Fatalf("decode Phase 1B report: %v", err)
-				}
+			report, err := highestVotes(m.Payload)
+			if err != nil {
+				t.Fatalf("decode Phase 1B report: %v", err)
 			}
 			for _, iv := range report {
 				if iv.Instance == 5 && string(iv.Value.Data) == "before-restart" {
@@ -72,6 +68,74 @@ func TestRestartedAcceptorReportsLoggedVotes(t *testing.T) {
 			t.Fatal("no Phase 1A from the restarted coordinator")
 		}
 	}
+}
+
+// TestPhase1ReproposesHighestBallot starts a coordinator whose log holds
+// a vote for A at instance 5, cast at ballot 1, while its successor's log
+// holds a vote for B at the same instance, cast at ballot 2. B may have
+// been chosen at ballot 2 and A cannot have been, so Phase 1 must
+// re-propose B: Paxos takes the value of the highest reported ballot, not
+// the first value reported.
+func TestPhase1ReproposesHighestBallot(t *testing.T) {
+	net := transport.NewNetwork(nil)
+	defer net.Close()
+	svc := coord.NewService()
+	var members []coord.Member
+	logs := make(map[transport.ProcessID]*storage.MemLog)
+	for id := transport.ProcessID(1); id <= 3; id++ {
+		members = append(members, coord.Member{ID: id, Roles: coord.RoleProposer | coord.RoleAcceptor | coord.RoleLearner})
+		logs[id] = storage.NewMemLog()
+	}
+	if err := svc.CreateRing(1, members); err != nil {
+		t.Fatal(err)
+	}
+	// Two coordinator terms (ballots 1 and 2) came before this one: raise
+	// the ring's config version, the next coordinator's ballot, to 3.
+	svc.MarkDown(3)
+	svc.MarkUp(3)
+	vote := func(id transport.ProcessID, ballot uint32, inst uint64, data string) {
+		t.Helper()
+		vid := transport.MakeValueID(transport.ProcessID(ballot), uint32(inst)) // unique per vote
+		v := transport.Value{ID: vid, Count: 1, Data: []byte(data)}
+		if err := logs[id].Put(inst, encodeAccept(ballot, inst, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Instances 1-4 were decided at ballot 1; the coordinator re-proposes
+	// them from its own log.
+	for inst := uint64(1); inst <= 4; inst++ {
+		vote(1, 1, inst, fmt.Sprintf("v%d", inst))
+	}
+	vote(1, 1, 5, "A")
+	vote(2, 2, 5, "B")
+	if err := logs[2].Put(promiseInstance, encodePromise(2)); err != nil {
+		t.Fatal(err)
+	}
+	nodes := make(map[transport.ProcessID]*Node)
+	for id := transport.ProcessID(3); id >= 1; id-- {
+		n, err := New(Config{
+			Ring:          1,
+			Self:          id,
+			Router:        transport.NewRouter(net.Attach(id, netem.SiteLocal)),
+			Coord:         svc,
+			Log:           logs[id],
+			RetryInterval: 30 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Stop()
+		nodes[id] = n
+	}
+	for _, d := range collect(t, nodes[3], 5, 5*time.Second) {
+		if d.Instance == 5 {
+			if string(d.Value.Data) != "B" {
+				t.Fatalf("instance 5 decided %q, want B (the ballot-2 vote)", d.Value.Data)
+			}
+			return
+		}
+	}
+	t.Fatal("instance 5 was not among the first five deliveries")
 }
 
 // TestAcceptorsPinNoDecidedPayloads drives more than 10k instances
@@ -122,17 +186,9 @@ func TestAcceptorsPinNoDecidedPayloads(t *testing.T) {
 				n.Stop()
 			}
 		}
-		// Close the transports together: Close waits for inbound streams,
-		// and a stream a peer dialed stays open until that peer closes.
-		var wg sync.WaitGroup
 		for _, tn := range tcp {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = tn.Close()
-			}()
+			_ = tn.Close()
 		}
-		wg.Wait()
 	}()
 	for i := range nodes {
 		logs[i] = storage.NewMemLog()

@@ -6,9 +6,10 @@
 //   - Log: the acceptor log contract — durable Put/Get of per-instance
 //     records plus prefix Trim (Section 5.1: acceptors log Phase 1B/2B
 //     responses before replying, and trim coordinated with checkpoints).
-//   - MemLog: volatile implementation, a map from instance to record,
-//     standing in for the paper's in-memory acceptors (which bound
-//     retention with pre-allocated buffers; here Trim bounds it).
+//   - MemLog: volatile implementation, an instance-ordered slice of
+//     exact-size record copies, standing in for the paper's in-memory
+//     acceptors (which bound retention with pre-allocated buffers; here
+//     Trim bounds it).
 //   - FileWAL: a real, file-backed segmented write-ahead log with
 //     synchronous and asynchronous modes and segment-granular trimming
 //     (the Berkeley DB substitute).
@@ -18,10 +19,11 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
+	"slices"
+	"sort"
 	"sync"
-
-	"amcast/internal/bufpool"
 )
 
 // Record pairs a consensus instance with its durable record, for batched
@@ -76,38 +78,28 @@ const metaInstance = 0
 // MemLog is an in-memory Log. It mirrors the paper's in-memory acceptor
 // buffers: bounded retention is the caller's job via Trim. The zero value
 // is ready to use.
+//
+// Records live in an instance-ordered slice, each an exact-size heap copy
+// of what was put: acceptors vote in instance order, so Put appends, Get
+// and rewrites binary-search, and Trim drops a prefix. The log's memory is
+// its records plus 32 bytes of index per record.
 type MemLog struct {
 	mu      sync.RWMutex
-	records map[uint64][]byte
+	recs    []memRecord // instances > 0, ascending
+	meta    []byte      // the pinned metadata record (key 0)
+	hasMeta bool
 	trimmed uint64
 	last    uint64
 	closed  bool
+}
 
-	// pooled mode (NewPooledMemLog): records are copied into refcounted
-	// pool buffers tracked in bufs, released on overwrite/trim/close.
-	pooled bool
-	bufs   map[uint64]*bufpool.Buf
+type memRecord struct {
+	instance uint64
+	data     []byte
 }
 
 // NewMemLog returns an empty in-memory log.
-func NewMemLog() *MemLog {
-	return &MemLog{records: make(map[uint64][]byte)}
-}
-
-// NewPooledMemLog returns an in-memory log whose record copies live in
-// refcounted pool buffers instead of per-record heap allocations: the
-// steady-state accept path (one record copied per vote) stops producing
-// garbage, and Trim returns the bytes to the pool deterministically. Get
-// returns a heap copy so callers never alias storage that a concurrent
-// Trim could recycle. Close releases all retained records (Get misses
-// afterwards, unlike the plain MemLog).
-func NewPooledMemLog() *MemLog {
-	return &MemLog{
-		records: make(map[uint64][]byte),
-		bufs:    make(map[uint64]*bufpool.Buf),
-		pooled:  true,
-	}
-}
+func NewMemLog() *MemLog { return &MemLog{} }
 
 var _ Log = (*MemLog)(nil)
 
@@ -118,32 +110,8 @@ func (l *MemLog) Put(instance uint64, record []byte) error {
 	if l.closed {
 		return ErrLogClosed
 	}
-	if l.records == nil {
-		l.records = make(map[uint64][]byte)
-	}
-	if instance != metaInstance && instance <= l.trimmed && l.trimmed > 0 {
-		return nil // already trimmed; ignore stale writes
-	}
 	l.store(instance, record)
 	return nil
-}
-
-// store copies record into the map under l.mu, using a pool buffer in
-// pooled mode (releasing any overwritten one).
-func (l *MemLog) store(instance uint64, record []byte) {
-	l.last = max(l.last, instance)
-	if l.pooled {
-		if old, ok := l.bufs[instance]; ok {
-			old.Release()
-		}
-		b := bufpool.Copy(record)
-		l.bufs[instance] = b
-		l.records[instance] = b.Bytes()
-		return
-	}
-	cp := make([]byte, len(record))
-	copy(cp, record)
-	l.records[instance] = cp
 }
 
 // PutBatch stores copies of all records under one lock acquisition.
@@ -153,32 +121,62 @@ func (l *MemLog) PutBatch(recs []Record) error {
 	if l.closed {
 		return ErrLogClosed
 	}
-	if l.records == nil {
-		l.records = make(map[uint64][]byte)
-	}
 	for _, r := range recs {
-		if r.Instance != metaInstance && r.Instance <= l.trimmed && l.trimmed > 0 {
-			continue
-		}
 		l.store(r.Instance, r.Data)
 	}
 	return nil
 }
 
-// Get returns the record for instance. In pooled mode the result is a
-// heap copy (the stored bytes may recycle on a concurrent Trim); the
-// plain mode returns the stored copy directly, as before.
+// store copies record into the log under l.mu. Writes at or below the
+// trim watermark are stale and ignored.
+func (l *MemLog) store(instance uint64, record []byte) {
+	if instance != metaInstance && instance <= l.trimmed {
+		return
+	}
+	cp := make([]byte, len(record))
+	copy(cp, record)
+	if instance == metaInstance {
+		l.meta, l.hasMeta = cp, true
+		return
+	}
+	l.last = max(l.last, instance)
+	if n := len(l.recs); n == 0 || l.recs[n-1].instance < instance {
+		l.recs = append(l.recs, memRecord{instance: instance, data: cp})
+		return
+	}
+	i, found := l.search(instance)
+	if found {
+		l.recs[i].data = cp
+		return
+	}
+	l.recs = slices.Insert(l.recs, i, memRecord{instance: instance, data: cp})
+}
+
+// search returns the position of instance in l.recs, or where it would
+// be inserted.
+func (l *MemLog) search(instance uint64) (int, bool) {
+	return slices.BinarySearchFunc(l.recs, instance, func(r memRecord, inst uint64) int {
+		return cmp.Compare(r.instance, inst)
+	})
+}
+
+// Get returns the stored copy of the record for instance.
 func (l *MemLog) Get(instance uint64) ([]byte, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	rec, ok := l.records[instance]
-	if ok && l.pooled {
-		rec = append([]byte(nil), rec...)
+	if instance == metaInstance {
+		return l.meta, l.hasMeta
 	}
-	return rec, ok
+	i, found := l.search(instance)
+	if !found {
+		return nil, false
+	}
+	return l.recs[i].data, true
 }
 
-// Trim discards records for instances <= upTo.
+// Trim discards records for instances <= upTo. Once the retained records
+// fill less than a quarter of the slice's capacity, they move to a slice
+// sized for them, so the index shrinks with the log.
 func (l *MemLog) Trim(upTo uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -188,16 +186,13 @@ func (l *MemLog) Trim(upTo uint64) error {
 	if upTo <= l.trimmed {
 		return nil
 	}
-	for inst := range l.records {
-		if inst != metaInstance && inst <= upTo {
-			if b, ok := l.bufs[inst]; ok {
-				b.Release()
-				delete(l.bufs, inst)
-			}
-			delete(l.records, inst)
-		}
-	}
 	l.trimmed = upTo
+	i := sort.Search(len(l.recs), func(j int) bool { return l.recs[j].instance > upTo })
+	clear(l.recs[:i]) // the backing array must not pin trimmed records
+	l.recs = l.recs[i:]
+	if len(l.recs) < cap(l.recs)/4 {
+		l.recs = slices.Clone(l.recs)
+	}
 	return nil
 }
 
@@ -222,24 +217,19 @@ func (l *MemLog) LastInstance() uint64 {
 func (l *MemLog) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.records)
+	if l.hasMeta {
+		return len(l.recs) + 1
+	}
+	return len(l.recs)
 }
 
 // Sync is a no-op for the in-memory log.
 func (l *MemLog) Sync() error { return nil }
 
-// Close marks the log closed. In pooled mode the retained records return
-// to the pool.
+// Close marks the log closed: later writes fail, reads keep working.
 func (l *MemLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
-	if l.pooled {
-		for inst, b := range l.bufs {
-			b.Release()
-			delete(l.bufs, inst)
-			delete(l.records, inst)
-		}
-	}
 	return nil
 }

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"amcast/internal/bufpool"
 )
 
 func TestMemLogPutGet(t *testing.T) {
@@ -402,46 +400,5 @@ func TestNewModeLog(t *testing.T) {
 	}
 	if ModeMemory.String() != "In Memory" || Mode(99).String() != "Unknown" {
 		t.Error("Mode.String broken")
-	}
-}
-
-func TestPooledMemLog(t *testing.T) {
-	before := bufpool.Outstanding()
-	l := NewPooledMemLog()
-	if err := l.Put(1, []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Put(1, []byte("one-again")); err != nil { // overwrite releases old buf
-		t.Fatal(err)
-	}
-	if err := l.PutBatch([]Record{{Instance: 2, Data: []byte("two")}, {Instance: 3, Data: []byte("three")}}); err != nil {
-		t.Fatal(err)
-	}
-	rec, ok := l.Get(2)
-	if !ok || string(rec) != "two" {
-		t.Fatalf("Get(2) = %q, %v", rec, ok)
-	}
-	// Pooled Get must hand back a heap copy, never the pooled bytes.
-	rec[0] = 'X'
-	if again, _ := l.Get(2); string(again) != "two" {
-		t.Error("Get returned aliased pool storage in pooled mode")
-	}
-	if err := l.Trim(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := l.Get(2); ok {
-		t.Error("instance 2 should be trimmed")
-	}
-	if _, ok := l.Get(3); !ok {
-		t.Error("instance 3 should survive trim")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := l.Get(3); ok {
-		t.Error("pooled Get should miss after Close releases the records")
-	}
-	if got := bufpool.Outstanding(); got != before {
-		t.Errorf("pooled MemLog leaked %d buffers", got-before)
 	}
 }

@@ -2,11 +2,12 @@ package storage
 
 import (
 	"bufio"
-	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,6 +18,10 @@ import (
 
 	"amcast/internal/metrics"
 )
+
+// trimInstance is the reserved frame key of a trim record: data is the trim
+// watermark and LastInstance at the time of the trim, 8 bytes each.
+const trimInstance = math.MaxUint64
 
 // SyncMode selects the durability mode of a FileWAL, mirroring the paper's
 // synchronous vs. asynchronous acceptor disk writes.
@@ -38,13 +43,16 @@ const (
 //	instance(8) len(4) crc32(4) data(len)
 //
 // Segments roll over at a size threshold; Trim removes whole segments whose
-// records are all <= the trim watermark. Open rebuilds the in-memory index
-// by scanning segments, so an acceptor recovers its log after a crash
-// (Section 5.1, acceptor recovery).
+// records are all <= the trim watermark, after logging the watermark in a
+// trim record (instance math.MaxUint64, which callers cannot use). Open
+// rebuilds the in-memory index and the watermark by scanning segments, so
+// an acceptor recovers its log after a crash (Section 5.1, acceptor
+// recovery).
 //
 // The index holds only record locations — (segment, offset, length) — not
-// record bytes: Get serves reads with pread through a small LRU of hot
-// records, so memory stays flat no matter how much untrimmed log exists.
+// record bytes: every Get preads its record from the segment, so the log
+// keeps no copy of a record in memory. The index itself grows by one entry
+// per untrimmed record.
 type FileWAL struct {
 	dir     string
 	mode    SyncMode
@@ -56,12 +64,12 @@ type FileWAL struct {
 	cur        *os.File
 	curW       *bufio.Writer
 	curSize    int64
-	curFlushed int64 // bytes of the current segment already written through
-	curFirst   uint64
-	curLast    uint64
-	curBase    int // numeric name of current segment
+	curFlushed int64  // bytes of the current segment already written through
+	curLast    uint64 // highest instance (or trim watermark) in the current segment
+	curBase    int    // numeric name of current segment
 	index      map[uint64]walLoc
-	cache      *recordCache
+	hdr        [16]byte // frameLocked's frame header (a local would escape)
+	trimRec    [16]byte // Trim's trim record
 	trimmed    uint64
 	last       uint64 // highest instance appended or replayed
 	closed     bool
@@ -74,11 +82,10 @@ type FileWAL struct {
 }
 
 type walSegment struct {
-	path  string
-	base  int
-	first uint64
-	last  uint64
-	r     *os.File // lazily opened pread handle
+	path string
+	base int
+	last uint64   // highest instance (or trim watermark) framed in it
+	r    *os.File // lazily opened pread handle
 }
 
 // walLoc locates one record's data bytes on disk (offset is past the
@@ -97,9 +104,6 @@ type WALOptions struct {
 	MaxSegmentBytes int64
 	// FlushInterval is the async flush period. Default 10 ms.
 	FlushInterval time.Duration
-	// CacheBytes bounds the in-memory LRU of hot records served by Get
-	// (retransmissions read the recent tail). Default 4 MB.
-	CacheBytes int
 }
 
 // OpenWAL opens (creating if needed) a WAL in dir and replays existing
@@ -114,9 +118,6 @@ func OpenWAL(dir string, opts WALOptions) (*FileWAL, error) {
 	if opts.FlushInterval == 0 {
 		opts.FlushInterval = 10 * time.Millisecond
 	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 4 << 20
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create wal dir: %w", err)
 	}
@@ -126,7 +127,6 @@ func OpenWAL(dir string, opts WALOptions) (*FileWAL, error) {
 		maxSeg:    opts.MaxSegmentBytes,
 		flushEv:   opts.FlushInterval,
 		index:     make(map[uint64]walLoc),
-		cache:     newRecordCache(opts.CacheBytes),
 		flushDone: make(chan struct{}),
 		flushStop: make(chan struct{}),
 	}
@@ -179,6 +179,7 @@ func (w *FileWAL) replay() error {
 			w.curBase = base + 1
 		}
 	}
+	w.dropTrimmedLocked()
 	return nil
 }
 
@@ -196,7 +197,6 @@ func (w *FileWAL) replaySegment(seg *walSegment) error {
 	r := bufio.NewReader(f)
 	var hdr [16]byte
 	var off int64
-	first := true
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			// EOF or torn tail record: stop replay of this segment.
@@ -219,16 +219,20 @@ func (w *FileWAL) replaySegment(seg *walSegment) error {
 		if crc32.ChecksumIEEE(data) != sum {
 			return nil // corrupt tail; discard rest
 		}
-		w.index[inst] = walLoc{base: seg.base, off: off + 16, n: int(size)}
-		w.last = max(w.last, inst)
+		bound := inst
+		if inst == trimInstance {
+			if size != 16 {
+				return nil // not a trim record: corrupt tail
+			}
+			bound = binary.LittleEndian.Uint64(data[:8])
+			w.trimmed = max(w.trimmed, bound)
+			w.last = max(w.last, binary.LittleEndian.Uint64(data[8:]))
+		} else {
+			w.index[inst] = walLoc{base: seg.base, off: off + 16, n: int(size)}
+			w.last = max(w.last, inst)
+		}
 		off += 16 + int64(size)
-		if first || inst < seg.first {
-			seg.first = inst
-		}
-		if inst > seg.last {
-			seg.last = inst
-		}
-		first = false
+		seg.last = max(seg.last, bound)
 	}
 }
 
@@ -246,10 +250,9 @@ func (w *FileWAL) rollSegment() error {
 			return err
 		}
 		w.segs = append(w.segs, &walSegment{
-			path:  filepath.Join(w.dir, segName(w.curBase)),
-			base:  w.curBase,
-			first: w.curFirst,
-			last:  w.curLast,
+			path: filepath.Join(w.dir, segName(w.curBase)),
+			base: w.curBase,
+			last: w.curLast,
 		})
 		w.curBase++
 	}
@@ -264,7 +267,6 @@ func (w *FileWAL) rollSegment() error {
 	w.curW = bufio.NewWriterSize(f, 256<<10)
 	w.curSize = 0
 	w.curFlushed = 0
-	w.curFirst = 0
 	w.curLast = 0
 	return nil
 }
@@ -274,28 +276,38 @@ func (w *FileWAL) rollSegment() error {
 //
 //lint:deterministic
 func (w *FileWAL) appendLocked(instance uint64, record []byte) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[:8], instance)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(record)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(record))
-	if _, err := w.curW.Write(hdr[:]); err != nil {
+	if instance == trimInstance {
+		return errors.New("storage: instance MaxUint64 is reserved for WAL trim records")
+	}
+	off, err := w.frameLocked(instance, record, instance)
+	if err != nil {
 		return err
 	}
-	if _, err := w.curW.Write(record); err != nil {
-		return err
-	}
-	loc := walLoc{base: w.curBase, off: w.curSize + 16, n: len(record)}
-	w.index[instance] = loc
+	w.index[instance] = walLoc{base: w.curBase, off: off, n: len(record)}
 	w.last = max(w.last, instance)
-	w.cache.addCopy(loc, record)
-	if w.curFirst == 0 || instance < w.curFirst {
-		w.curFirst = instance
-	}
-	if instance > w.curLast {
-		w.curLast = instance
-	}
-	w.curSize += int64(16 + len(record))
 	return nil
+}
+
+// frameLocked writes one frame into the current segment's buffer and
+// returns the file offset of its data. bound is the highest instance the
+// frame covers, which decides when Trim may delete the segment.
+//
+//lint:deterministic
+func (w *FileWAL) frameLocked(key uint64, data []byte, bound uint64) (int64, error) {
+	hdr := w.hdr[:]
+	binary.LittleEndian.PutUint64(hdr[:8], key)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(data)))
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(data))
+	if _, err := w.curW.Write(hdr); err != nil {
+		return 0, err
+	}
+	if _, err := w.curW.Write(data); err != nil {
+		return 0, err
+	}
+	off := w.curSize + 16
+	w.curLast = max(w.curLast, bound)
+	w.curSize += int64(16 + len(data))
+	return off, nil
 }
 
 // commitLocked makes everything appended so far durable for synchronous
@@ -361,52 +373,31 @@ func (w *FileWAL) PutBatch(recs []Record) error {
 	return w.commitLocked()
 }
 
-// Get returns the record for instance, reading it back from disk (via the
-// LRU) if it is not cached.
+// Get returns the record for instance, read back from disk with pread.
+// The pread runs outside the lock: a cold read (Phase 1B, retransmission,
+// catch-up) must never stall the hot-path group commit. A concurrent
+// segment roll can close the handle between resolution and ReadAt; the
+// retry re-resolves (the rolled segment reopens via segByBase). Only a
+// Trim or Close — which really removed the record — fails twice.
 func (w *FileWAL) Get(instance uint64) ([]byte, bool) {
-	w.mu.Lock()
-	if w.closed {
-		// Segment handles are gone; reopening here would leak them.
-		w.mu.Unlock()
-		return nil, false
-	}
-	loc, ok := w.index[instance]
-	if !ok {
-		w.mu.Unlock()
-		return nil, false
-	}
-	if data, ok := w.cache.get(loc); ok {
-		w.mu.Unlock()
-		return data, true
-	}
-	w.mu.Unlock()
-	// pread outside the lock: a cold read (retransmission serving) must
-	// never stall the hot-path group commit. A concurrent segment roll
-	// can close the handle between resolution and ReadAt; the retry
-	// re-resolves (the rolled segment reopens via segByBase). Only a
-	// Trim or Close — which really removed the record — fails twice.
-	var data []byte
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; attempt < 2; attempt++ {
 		w.mu.Lock()
-		f, err := w.readHandleLocked(loc)
+		loc, ok := w.index[instance]
+		var f *os.File
+		var err error
+		if ok {
+			f, err = w.readHandleLocked(loc)
+		}
 		w.mu.Unlock()
-		if err != nil {
+		if !ok || err != nil {
 			return nil, false
 		}
-		data = make([]byte, loc.n)
+		data := make([]byte, loc.n)
 		if _, err := f.ReadAt(data, loc.off); err == nil {
-			break
-		}
-		if attempt == 1 {
-			return nil, false
+			return data, true
 		}
 	}
-	w.mu.Lock()
-	if !w.closed {
-		w.cache.add(loc, data)
-	}
-	w.mu.Unlock()
-	return data, true
+	return nil, false
 }
 
 // readHandleLocked resolves the file to pread loc from, flushing the
@@ -448,7 +439,9 @@ func (w *FileWAL) segByBase(base int) *walSegment {
 }
 
 // Trim removes whole segments whose records are all <= upTo and drops
-// trimmed entries from the index.
+// trimmed entries from the index. It first appends a trim record holding
+// upTo and LastInstance, and syncs it, so a reopened log restores both
+// even after the segments holding the trimmed records are gone.
 func (w *FileWAL) Trim(upTo uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -457,6 +450,14 @@ func (w *FileWAL) Trim(upTo uint64) error {
 	}
 	if upTo <= w.trimmed {
 		return nil
+	}
+	binary.LittleEndian.PutUint64(w.trimRec[:8], upTo)
+	binary.LittleEndian.PutUint64(w.trimRec[8:], w.last)
+	if _, err := w.frameLocked(trimInstance, w.trimRec[:], upTo); err != nil {
+		return err
+	}
+	if err := w.syncLocked(); err != nil {
+		return err
 	}
 	w.trimmed = upTo
 	// The metadata record (the acceptor promise) is pinned: its segment
@@ -475,12 +476,18 @@ func (w *FileWAL) Trim(upTo uint64) error {
 		kept = append(kept, seg)
 	}
 	w.segs = kept
+	w.dropTrimmedLocked()
+	return nil
+}
+
+// dropTrimmedLocked removes index entries at or below the trim watermark,
+// except the pinned metadata record.
+func (w *FileWAL) dropTrimmedLocked() {
 	for inst := range w.index {
-		if inst != metaInstance && inst <= upTo {
+		if inst != metaInstance && inst <= w.trimmed {
 			delete(w.index, inst)
 		}
 	}
-	return nil
 }
 
 // FirstRetained returns the lowest guaranteed-retrievable instance.
@@ -581,72 +588,4 @@ func (w *FileWAL) SegmentCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.segs) + 1
-}
-
-// recordCache is a byte-bounded LRU of record payloads keyed by their file
-// location. It keeps the hot tail of the log — what retransmission serving
-// actually reads — in memory without the full-log copy the index used to
-// carry. Locations are unique per appended record, so rewritten keys (the
-// promise record) can never serve a stale cached value.
-type recordCache struct {
-	maxBytes int
-	bytes    int
-	ll       *list.List // front = most recent
-	ents     map[walLoc]*list.Element
-}
-
-type cacheEnt struct {
-	loc  walLoc
-	data []byte
-}
-
-func newRecordCache(maxBytes int) *recordCache {
-	return &recordCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		ents:     make(map[walLoc]*list.Element),
-	}
-}
-
-func (c *recordCache) get(loc walLoc) ([]byte, bool) {
-	e, ok := c.ents[loc]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(e)
-	return e.Value.(*cacheEnt).data, true
-}
-
-// add caches data, taking ownership of the slice.
-func (c *recordCache) add(loc walLoc, data []byte) {
-	if len(data) > c.maxBytes {
-		return // larger than the whole cache; don't thrash it
-	}
-	if e, ok := c.ents[loc]; ok {
-		c.ll.MoveToFront(e)
-		return
-	}
-	c.ents[loc] = c.ll.PushFront(&cacheEnt{loc: loc, data: data})
-	c.bytes += len(data)
-	for c.bytes > c.maxBytes {
-		e := c.ll.Back()
-		if e == nil {
-			return
-		}
-		ent := e.Value.(*cacheEnt)
-		c.ll.Remove(e)
-		delete(c.ents, ent.loc)
-		c.bytes -= len(ent.data)
-	}
-}
-
-// addCopy caches a copy of data (for callers that keep mutating or reusing
-// the slice).
-func (c *recordCache) addCopy(loc walLoc, data []byte) {
-	if len(data) > c.maxBytes {
-		return
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.add(loc, cp)
 }

@@ -66,10 +66,10 @@ func TestFileWALPutBatchSurvivesReopen(t *testing.T) {
 }
 
 func TestFileWALGetReadsBackFromDisk(t *testing.T) {
-	// A cache smaller than the data forces Get to pread records the LRU
-	// evicted — the index holds locations only, not bytes.
+	// The index holds locations only, not bytes: every Get preads its
+	// record back from the segment.
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut, CacheBytes: 256})
+	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,7 @@ func TestFileWALGetReadsBackFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Early records were evicted (cache holds ~2); all must still read
-	// back correctly, repeatedly (cache re-admission included).
+	// All must read back correctly, repeatedly.
 	for pass := 0; pass < 2; pass++ {
 		for i := uint64(1); i <= 50; i++ {
 			rec, ok := w.Get(i)
@@ -97,7 +96,7 @@ func TestFileWALGetReadsBackFromDisk(t *testing.T) {
 func TestFileWALGetAcrossSegments(t *testing.T) {
 	// Records spread over several rolled segments must all pread back.
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut, MaxSegmentBytes: 512, CacheBytes: 128})
+	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut, MaxSegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestFileWALGetUnflushedAsyncRecord(t *testing.T) {
 	// In async mode a record can still sit in the write buffer; Get must
 	// flush before pread rather than return torn data.
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{Mode: SyncPeriodic, FlushInterval: time.Hour, CacheBytes: 1})
+	w, err := OpenWAL(dir, WALOptions{Mode: SyncPeriodic, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +129,6 @@ func TestFileWALGetUnflushedAsyncRecord(t *testing.T) {
 	if err := w.Put(7, []byte("buffered")); err != nil {
 		t.Fatal(err)
 	}
-	// CacheBytes=1 keeps "buffered" (8 bytes) out of the cache, so this
-	// exercises the flush-then-pread path.
 	rec, ok := w.Get(7)
 	if !ok || string(rec) != "buffered" {
 		t.Fatalf("Get(7) = %q, %v", rec, ok)
@@ -167,7 +164,7 @@ func TestFileWALPutBatchRespectsTrim(t *testing.T) {
 
 func TestFileWALPromiseRewriteNotStale(t *testing.T) {
 	// Rewriting a key (the promise record) must always serve the newest
-	// record, including through the location-keyed cache.
+	// record: the index moves to the rewrite's location.
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut})
 	if err != nil {

@@ -21,11 +21,12 @@ type TCPNode struct {
 	ln net.Listener
 	mb *mailbox
 
-	mu     sync.Mutex
-	addrs  map[ProcessID]string
-	conns  map[ProcessID]*tcpConn
-	redial map[ProcessID]*redialState
-	closed bool
+	mu      sync.Mutex
+	addrs   map[ProcessID]string
+	conns   map[ProcessID]*tcpConn
+	streams map[net.Conn]struct{} // every open stream, dialed or accepted; Close closes them
+	redial  map[ProcessID]*redialState
+	closed  bool
 
 	dropped atomic.Uint64
 
@@ -96,12 +97,13 @@ func ListenTCP(id ProcessID, addr string) (*TCPNode, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	n := &TCPNode{
-		id:     id,
-		ln:     ln,
-		mb:     newMailbox(),
-		addrs:  make(map[ProcessID]string),
-		conns:  make(map[ProcessID]*tcpConn),
-		redial: make(map[ProcessID]*redialState),
+		id:      id,
+		ln:      ln,
+		mb:      newMailbox(),
+		addrs:   make(map[ProcessID]string),
+		conns:   make(map[ProcessID]*tcpConn),
+		streams: make(map[net.Conn]struct{}),
+		redial:  make(map[ProcessID]*redialState),
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -182,7 +184,8 @@ func (n *TCPNode) SendBatch(msgs []Message) error {
 	})
 }
 
-// Close shuts down the listener and all connections.
+// Close shuts down the listener and every stream, including inbound
+// streams from peers this node also dialed, so it never waits on a peer.
 func (n *TCPNode) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -190,16 +193,16 @@ func (n *TCPNode) Close() error {
 		return nil
 	}
 	n.closed = true
-	conns := make([]*tcpConn, 0, len(n.conns))
-	for _, c := range n.conns {
-		conns = append(conns, c)
+	streams := make([]net.Conn, 0, len(n.streams))
+	for c := range n.streams {
+		streams = append(streams, c)
 	}
 	n.conns = make(map[ProcessID]*tcpConn)
 	n.mu.Unlock()
 
 	err := n.ln.Close()
-	for _, c := range conns {
-		_ = c.c.Close()
+	for _, c := range streams {
+		_ = c.Close()
 	}
 	n.wg.Wait()
 	n.mb.close()
@@ -257,10 +260,26 @@ func (n *TCPNode) conn(to ProcessID) (*tcpConn, error) {
 		return existing, nil
 	}
 	n.conns[to] = c
+	n.trackLocked(raw)
 	n.mu.Unlock()
-	n.wg.Add(1)
 	go n.readLoop(raw)
 	return c, nil
+}
+
+// trackLocked registers an open stream for Close and counts its read
+// loop, which untrack ends. Callers hold n.mu and have checked n.closed.
+func (n *TCPNode) trackLocked(raw net.Conn) {
+	n.streams[raw] = struct{}{}
+	n.wg.Add(1)
+}
+
+// untrack closes a tracked stream and ends its count.
+func (n *TCPNode) untrack(raw net.Conn) {
+	n.mu.Lock()
+	delete(n.streams, raw)
+	n.mu.Unlock()
+	_ = raw.Close()
+	n.wg.Done()
 }
 
 // dialFailed schedules the next allowed dial attempt for a peer:
@@ -299,25 +318,28 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return
 		}
-		// Read the peer's hello so replies can reuse this stream.
-		var hello [4]byte
-		if _, err := io.ReadFull(raw, hello[:]); err != nil {
-			_ = raw.Close()
-			continue
-		}
-		peer := ProcessID(binary.LittleEndian.Uint32(hello[:]))
-		c := &tcpConn{c: raw}
+		// Track the stream before reading the hello, so Close also
+		// unblocks a peer that connected but never sent one.
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
 			_ = raw.Close()
 			return
 		}
-		if _, ok := n.conns[peer]; !ok {
-			n.conns[peer] = c
+		n.trackLocked(raw)
+		n.mu.Unlock()
+		// Read the peer's hello so replies can reuse this stream.
+		var hello [4]byte
+		if _, err := io.ReadFull(raw, hello[:]); err != nil {
+			n.untrack(raw)
+			continue
+		}
+		peer := ProcessID(binary.LittleEndian.Uint32(hello[:]))
+		n.mu.Lock()
+		if _, ok := n.conns[peer]; !ok && !n.closed {
+			n.conns[peer] = &tcpConn{c: raw}
 		}
 		n.mu.Unlock()
-		n.wg.Add(1)
 		go n.readLoop(raw)
 	}
 }
@@ -339,8 +361,7 @@ const readBlockSize = 256 << 10
 //
 //lint:pooled
 func (n *TCPNode) readLoop(raw net.Conn) {
-	defer n.wg.Done()
-	defer func() { _ = raw.Close() }()
+	defer n.untrack(raw)
 	block := bufpool.Get(readBlockSize)
 	defer func() { block.Release() }()
 	data := block.Bytes()

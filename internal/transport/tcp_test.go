@@ -97,6 +97,41 @@ func TestTCPCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestTCPCloseDoesNotWaitOnPeers gives node a an accepted stream from a
+// peer it has already dialed, so the accepted stream is not a's send path
+// to that peer. Close must close that stream too instead of waiting for
+// the peer to hang up.
+func TestTCPCloseDoesNotWaitOnPeers(t *testing.T) {
+	a, b := newTCPPair(t)
+	if err := a.Send(2, Message{Kind: KindCommand, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, b, 2*time.Second)
+	// Play a second stream from b into a, and wait until a reads from it.
+	raw, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	hello := binary.LittleEndian.AppendUint32(nil, 2)
+	if _, err := raw.Write(appendFrame(hello, &Message{Kind: KindCommand, Seq: 2})); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, a, 2*time.Second); got.Seq != 2 {
+		t.Fatalf("got seq %d on the played stream, want 2", got.Seq)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close is waiting for a peer to close its stream")
+	}
+}
+
 func TestTCPPeerRestart(t *testing.T) {
 	a, err := ListenTCP(1, "127.0.0.1:0")
 	if err != nil {
